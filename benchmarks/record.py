@@ -200,11 +200,12 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
     For each fleet width the degree-LPT column times the status-quo
     sharded path (fresh pool per call, shared structures shipped through
     the initializer every time) and the coloring columns time repeat
-    :class:`~repro.core.sharding.ContextPool` sweeps under both pool
-    backings: ``shm`` (arrays exported once into named shared-memory
-    segments, workers attach zero-copy, one batched dispatch message per
-    worker per sweep) and ``pickle`` (the ship-once contexts-through-the-
-    initializer baseline).  The ``*_cycle_s`` columns time the full
+    sweeps on both pool planes: ``shm`` (the
+    :class:`~repro.core.sharding.ContextPool`: arrays exported once into
+    named shared-memory segments, workers attach zero-copy, one batched
+    dispatch message per worker per sweep) and ``pickle`` (the
+    ship-once contexts-through-the-initializer baseline in
+    ``benchmarks/_pickle_pool.py``).  The ``*_cycle_s`` columns time the full
     construct-plus-two-sweeps cycle; the ``*_fence_cycle_s`` columns
     time the delta-fence cycle (``publish()`` + ``run()``) — the
     quantity the shm-smoke CI job gates at >= 2x for 16 arrays, since
@@ -217,6 +218,7 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
 
     from repro.arch.pipeline import measured_shard_report
     from repro.arch.perf import default_pim_model
+    from _pickle_pool import PicklePool
     from repro.core.sharding import ContextPool, build_shard_contexts, context_balance
 
     graph = generators.barabasi_albert(num_vertices, attach, seed=0)
@@ -246,16 +248,15 @@ def measure_parallelism(num_vertices: int, attach: int) -> dict:
         cycle_s = {}
         fence_s = {}
         num_segments = 0
-        for backing in ("shm", "pickle"):
+        for backing, pool_class in (("shm", ContextPool), ("pickle", PicklePool)):
             contexts = build_shard_contexts(graph, "upper", num_arrays)
             cycle_start = time.perf_counter()
-            with ContextPool(
+            with pool_class(
                 contexts,
                 config.capacity_slices,
                 config.policy,
                 config.seed,
                 workers=workers,
-                backing=backing,
             ) as pool:
                 for _ in range(2):
                     outcome = pool.run()

@@ -7,7 +7,10 @@ Runs a paper-style generator graph through the accelerator with
 * the additive event counters (``edges_processed``, ``and_operations``,
   ``dense_pair_operations``, ``index_lookups``,
   ``bitcount_operations``) conserve the single-array totals;
-* the merged per-shard events equal the run's merged ``EventCounts``.
+* the merged per-shard events equal the run's merged ``EventCounts``;
+* a ``workers=2`` run (the one-shot process pool of the shard executor)
+  is bit-identical to the serial run: triangles, merged events and
+  cache statistics, and every per-shard result.
 
 Exit code 0 on success, 1 on any violation — wired into CI next to the
 engine-speedup smoke.  Usage::
@@ -69,10 +72,25 @@ def main(argv: list[str]) -> int:
         if dataclasses.asdict(merged) != dataclasses.asdict(sharded.events):
             status = "SHARD MERGE MISMATCH"
             failures += 1
+        start = time.perf_counter()
+        pooled = TCIMAccelerator(
+            AcceleratorConfig(num_arrays=4, shard_by=shard_by, workers=2)
+        ).run(graph)
+        pooled_elapsed = time.perf_counter() - start
+        if (
+            pooled.triangles != sharded.triangles
+            or dataclasses.asdict(pooled.events) != dataclasses.asdict(sharded.events)
+            or dataclasses.asdict(pooled.cache_stats)
+            != dataclasses.asdict(sharded.cache_stats)
+            or [dataclasses.asdict(s) for s in pooled.shards]
+            != [dataclasses.asdict(s) for s in sharded.shards]
+        ):
+            status = "WORKERS=2 MISMATCH"
+            failures += 1
         print(
             f"num_arrays=4 shard_by={shard_by}: {sharded.triangles:,} "
-            f"triangles in {elapsed:.2f}s "
-            f"({len(sharded.shards)} shards) ... {status}"
+            f"triangles in {elapsed:.2f}s serial, {pooled_elapsed:.2f}s "
+            f"workers=2 ({len(sharded.shards)} shards) ... {status}"
         )
     if failures:
         print(f"FAILED: {failures} violation(s)", file=sys.stderr)

@@ -11,7 +11,8 @@ Two gates, exit code 0 only if both hold:
 * **throughput** — the delta-fence sweep cycle (``publish()`` followed
   by ``run()``) of a shm :class:`~repro.core.sharding.ContextPool` at
   16 arrays runs at least **2x** faster than the same cycle on the
-  PR 9 pickle-ship pool.  The cycle is the execution plane's per-delta
+  pickle-ship pool (``benchmarks/_pickle_pool.py``, the baseline plane
+  kept out of ``src/``).  The cycle is the execution plane's per-delta
   overhead, isolated: making an owner-side delta visible to the workers
   and sweeping once.  The pickle plane must recycle its executor on
   every publish (workers hold shipped copies, so visibility requires a
@@ -33,6 +34,7 @@ import time
 
 import numpy as np
 
+from _pickle_pool import PicklePool
 from repro.api import TCIMSession
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.sharding import ContextPool, build_shard_contexts
@@ -134,16 +136,15 @@ def check_throughput(num_vertices: int) -> int:
     config = AcceleratorConfig(num_arrays=THROUGHPUT_ARRAYS)
     baseline = TCIMAccelerator(AcceleratorConfig(num_arrays=1)).run(graph)
 
-    def fence_cycle(backing: str) -> float:
+    def fence_cycle(pool_class) -> float:
         """Best delta-fence cycle: publish (visibility fence) + sweep."""
         contexts = build_shard_contexts(graph, "upper", THROUGHPUT_ARRAYS)
-        with ContextPool(
+        with pool_class(
             contexts,
             config.capacity_slices,
             config.policy,
             config.seed,
             workers=workers,
-            backing=backing,
         ) as pool:
             pool.run()
             pool.publish()
@@ -157,8 +158,8 @@ def check_throughput(num_vertices: int) -> int:
             assert outcome.accumulator == baseline.triangles
         return best
 
-    pickle_best = fence_cycle("pickle")
-    shm_best = fence_cycle("shm")
+    pickle_best = fence_cycle(PicklePool)
+    shm_best = fence_cycle(ContextPool)
     speedup = pickle_best / shm_best if shm_best else float("inf")
     print(
         f"throughput at {THROUGHPUT_ARRAYS} arrays ({workers} workers, "

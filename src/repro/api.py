@@ -58,9 +58,9 @@ from repro.core.accelerator import (
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import plan_shards
+from repro.core.sharding import _context_capacity, array_budget, plan_shards
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
-from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
+from repro.errors import GraphError, ReproError, StorageError
 from repro.graph.graph import Graph
 from repro.storage import snapshot as storage_snapshot
 from repro.storage.backing import BackingStore
@@ -1273,7 +1273,6 @@ class TCIMSession:
                     self.config.policy,
                     self.config.seed,
                     workers=self.config.workers,
-                    backing="shm",
                 )
         elif self.config.num_arrays > 1 and self._plan is None:
             self._plan = plan_shards(
@@ -1357,13 +1356,9 @@ class TCIMSession:
         elif self.config.num_arrays > 1:
             run = self._sharded_supports(sym, sources, destinations)
         else:
-            row_region = int(sym.row_valid_counts().max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = array_budget(
+                sym.row_valid_counts(), self.config.capacity_slices, "array"
+            )
             result = kernels.execute_workload(
                 kernels.EdgeSupportKernel(),
                 None,
@@ -1386,20 +1381,17 @@ class TCIMSession:
     ) -> tuple[np.ndarray, EventCounts, CacheStatistics]:
         """One support pass split across ``config.num_arrays`` arrays.
 
-        Mirrors :func:`repro.core.sharding.execute_sharded`'s capacity
-        and accounting model — equal per-array slice budgets, a private
-        row region and cache trace per shard — with each shard running
+        Mirrors the position shards' capacity and accounting model
+        (:func:`repro.core.sharding.build_position_contexts`) — equal
+        per-array slice budgets, a private row region and cache trace
+        per shard — with each shard running
         the per-edge kernel over its :meth:`~repro.core.plan.JoinPlan.subset`
         of the resident symmetric plan.
         """
         config = self.config
-        per_array_capacity = config.capacity_slices // config.num_arrays
-        if per_array_capacity < 2:
-            raise ArchitectureError(
-                f"array of {config.capacity_slices} slices split "
-                f"{config.num_arrays} ways leaves {per_array_capacity} "
-                "slices per array; need at least 2"
-            )
+        per_array_capacity = _context_capacity(
+            config.capacity_slices, config.num_arrays
+        )
         # Coloring owns edges for the resident count contexts; workload
         # passes over the shared symmetric structure are position-split,
         # so fall back to the degree-LPT balancer there.
@@ -1420,15 +1412,9 @@ class TCIMSession:
                 continue
             shard_sources = sources[positions]
             _, touched_counts = sym.row_slice_ranges(np.unique(shard_sources))
-            row_region = int(touched_counts.max(initial=0))
-            column_capacity = per_array_capacity - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"shard {shard_id}: per-array capacity "
-                    f"{per_array_capacity} slices cannot hold its row "
-                    f"region ({row_region} slices) plus a column cache; "
-                    "use fewer arrays or a larger array"
-                )
+            _, column_capacity = array_budget(
+                touched_counts, per_array_capacity, f"shard {shard_id}"
+            )
             result = kernels.execute_workload(
                 kernels.EdgeSupportKernel(),
                 None,
@@ -1458,13 +1444,9 @@ class TCIMSession:
         """
         sym = self._sym()
         _, touched_counts = sym.row_slice_ranges(np.unique(sources))
-        row_region = int(touched_counts.max(initial=0))
-        column_capacity = self.config.capacity_slices - row_region
-        if column_capacity < 1:
-            raise ArchitectureError(
-                f"array too small: row region needs {row_region} slices "
-                f"but capacity is {self.config.capacity_slices}"
-            )
+        _, column_capacity = array_budget(
+            touched_counts, self.config.capacity_slices, "array"
+        )
         result = kernels.execute_workload(
             kernels.EdgeSupportKernel(),
             None,
@@ -1542,13 +1524,9 @@ class TCIMSession:
             if plan is None:
                 return ("unfusible", None, self._generation)
             row_sliced, col_sliced = self._row_sliced, self._col_sliced
-            row_region = int(row_sliced.row_valid_counts().max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = array_budget(
+                row_sliced.row_valid_counts(), self.config.capacity_slices, "array"
+            )
             segment = kernels.FusedSegment(
                 kernel=kernels.CountKernel(),
                 plan=plan,
@@ -1597,13 +1575,9 @@ class TCIMSession:
             plan = self._ensure_sym_plan()
             if plan is None:
                 return ("unfusible", None, self._generation)
-            row_region = int(sym.row_valid_counts().max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = array_budget(
+                sym.row_valid_counts(), self.config.capacity_slices, "array"
+            )
             segment = kernels.FusedSegment(
                 kernel=kernels.EdgeSupportKernel(),
                 plan=plan,
@@ -1655,13 +1629,9 @@ class TCIMSession:
             sym = self._sym()
             plan = joinplan.build_join_plan(sym, sym, sources, destinations)
             _, touched_counts = sym.row_slice_ranges(np.unique(sources))
-            row_region = int(touched_counts.max(initial=0))
-            column_capacity = self.config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices "
-                    f"but capacity is {self.config.capacity_slices}"
-                )
+            _, column_capacity = array_budget(
+                touched_counts, self.config.capacity_slices, "array"
+            )
             segment = kernels.FusedSegment(
                 kernel=kernels.EdgeSupportKernel(),
                 plan=plan,

@@ -38,11 +38,11 @@ from repro.core.sharding import (
     ShardPlan,
     ShardResult,
     assign_colors,
+    build_position_contexts,
     build_shard_contexts,
     color_triples,
     context_balance,
     execute_contexts,
-    execute_sharded,
     min_colors,
     num_color_shards,
     plan_shards,
@@ -67,11 +67,11 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
     "assign_colors",
+    "build_position_contexts",
     "build_shard_contexts",
     "color_triples",
     "context_balance",
     "execute_contexts",
-    "execute_sharded",
     "min_colors",
     "num_color_shards",
     "plan_shards",

@@ -54,11 +54,15 @@ class AcceleratorConfig:
     (the paper's Fig. 4 bank organisation, see
     :mod:`repro.core.sharding`), each owning an equal share of
     ``array_bytes`` with its own row region and column-slice cache.
-    ``shard_by`` picks the partitioner (``"edges"``, ``"rows"`` or
-    ``"degree"``) and ``workers`` > 0 fans shards out over a process
-    pool (0 = serial in-process).  ``num_arrays=1`` is bit-identical to
-    the plain vectorized engine; sharded runs require it (the legacy
-    loop stays single-array).
+    Every shard runs as a :class:`~repro.core.sharding.ShardContext`
+    through one executor.  ``shard_by`` picks the partitioner: the
+    position partitioners ``"edges"``, ``"rows"`` and ``"degree"`` split
+    the shared oriented edge list into single-lane contexts over the
+    global slice structures; ``"coloring"`` builds self-contained
+    color-triple contexts.  ``workers`` > 0 fans shards out over a
+    process pool (0 = serial in-process).  ``num_arrays=1`` is
+    bit-identical to the plain vectorized engine; sharded runs require
+    it (the legacy loop stays single-array).
 
     ``use_plan`` lets a resident caller (:class:`repro.api.TCIMSession`)
     compile the valid-pair join once per graph generation
@@ -82,10 +86,11 @@ class AcceleratorConfig:
     zero-copy shared-memory execution plane, under which coloring-shard
     sweeps with ``workers > 0`` run through an shm-backed
     :class:`~repro.core.sharding.ContextPool` (workers attach named
-    segments once; sweeps dispatch one batched message per worker).
-    ``None`` (the default) keeps the historical routing:
-    ``storage_dir`` set implies ``memmap``, otherwise ``ram``.  Results
-    are bit-identical across all three.
+    segments once; sweeps dispatch one batched message per worker);
+    position shards keep the per-call pool.  ``None`` (the default)
+    keeps the historical routing: ``storage_dir`` set implies
+    ``memmap``, otherwise ``ram``.  Results are bit-identical across all
+    three.
     """
 
     slice_bits: int = 64
@@ -404,8 +409,7 @@ class TCIMAccelerator:
         ``context_pool`` additionally passes a live
         :class:`repro.core.sharding.ContextPool` holding those contexts
         resident in its workers — the sweep then dispatches through the
-        pool (zero-copy under shm backing) instead of spawning
-        processes per call.
+        zero-copy pool instead of spawning processes per call.
         """
         config = self.config
         orientation = config.orientation
@@ -440,15 +444,18 @@ class TCIMAccelerator:
             )
         shards: list = []
         notes: dict = {}
-        use_contexts = (
-            shard_contexts is not None
+        if (
+            config.num_arrays > 1
+            or shard_contexts is not None
             or context_pool is not None
-            or (config.num_arrays > 1 and config.shard_by == "coloring")
-        )
-        if use_contexts:
+        ):
             accumulator, events, cache_stats, shards, notes = self._run_contexts(
                 graph,
+                row_sliced,
+                col_sliced,
                 edge_arrays=edge_arrays,
+                plan=plan,
+                join_plan=join_plan,
                 shard_contexts=shard_contexts,
                 context_pool=context_pool,
             )
@@ -457,24 +464,12 @@ class TCIMAccelerator:
                 (s.column_cache_slices for s in shards),
                 default=config.capacity_slices,
             )
-        elif config.num_arrays > 1:
-            accumulator, events, cache_stats, shards = self._run_sharded(
-                graph, row_sliced, col_sliced,
-                edge_arrays=edge_arrays, plan=plan, join_plan=join_plan,
-            )
-            row_region = max((s.row_region_slices for s in shards), default=0)
-            column_capacity = min(
-                (s.column_cache_slices for s in shards),
-                default=config.capacity_slices,
-            )
         else:
-            row_region = int(row_sliced.row_valid_counts().max(initial=0))
-            column_capacity = config.capacity_slices - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"array too small: row region needs {row_region} slices but "
-                    f"capacity is {config.capacity_slices}"
-                )
+            from repro.core.sharding import array_budget
+
+            row_region, column_capacity = array_budget(
+                row_sliced.row_valid_counts(), config.capacity_slices, "array"
+            )
             if join_plan is not None:
                 # The planned fast path is an execution strategy of the
                 # built-in vectorized kernel, not a separate engine, so
@@ -511,23 +506,44 @@ class TCIMAccelerator:
     def _run_contexts(
         self,
         graph: Graph,
+        row_sliced: SlicedMatrix,
+        col_sliced: SlicedMatrix,
         edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
+        plan=None,
+        join_plan=None,
         shard_contexts=None,
         context_pool=None,
     ) -> tuple[int, EventCounts, CacheStatistics, list, dict]:
-        """Communication-free coloring dataflow over self-contained shards."""
+        """Multi-array dataflow over shard contexts (:mod:`repro.core.sharding`).
+
+        Coloring runs sweep the resident ``context_pool``, the passed
+        ``shard_contexts`` or contexts built here, and note their
+        metadata.  Position runs wrap ``plan`` (built when omitted) into
+        single-lane contexts over ``row_sliced``/``col_sliced`` and never
+        use a shared-memory pool, which would rebind the caller's
+        resident arrays; their notes stay empty, so the pipeline model
+        still prices their merge.
+        """
+        from repro.core.engine import oriented_edges
         from repro.core.sharding import (
+            build_position_contexts,
             build_shard_contexts,
             context_balance,
             execute_contexts,
+            plan_shards,
         )
 
         config = self.config
+        coloring = (
+            shard_contexts is not None
+            or context_pool is not None
+            or config.shard_by == "coloring"
+        )
         if context_pool is not None:
             outcome = context_pool.run(use_plan=bool(config.use_plan))
             if shard_contexts is None:
                 shard_contexts = context_pool._contexts
-        else:
+        elif coloring:
             if shard_contexts is None:
                 shard_contexts = build_shard_contexts(
                     graph,
@@ -547,19 +563,58 @@ class TCIMAccelerator:
                 use_plan=config.use_plan,
                 backing="shm" if config.backing == "shm" else "pickle",
             )
-        first = shard_contexts[0]
-        notes = {
-            "shard_by": "coloring",
-            "colors": first.colors,
-            "num_shards": len(shard_contexts),
-            "communication_free": True,
-            "balance": context_balance(shard_contexts),
-        }
-        if context_pool is not None:
-            notes["pool_backing"] = context_pool.backing
-            notes["pool_workers"] = context_pool.workers
-        elif config.workers > 0 and config.backing == "shm":
-            notes["pool_backing"] = "shm"
+        else:
+            # Materialise the oriented edge list once; the planner and
+            # the contexts both consume it.  A caller holding both (the
+            # session) passes them in and nothing is rebuilt.
+            if edge_arrays is None:
+                edge_arrays = oriented_edges(graph, config.orientation)
+            if plan is None:
+                plan = plan_shards(
+                    graph,
+                    config.orientation,
+                    config.num_arrays,
+                    config.shard_by,
+                    sources=edge_arrays[0],
+                )
+            elif plan.num_arrays != config.num_arrays:
+                raise ArchitectureError(
+                    f"plan covers {plan.num_arrays} arrays but the config "
+                    f"asks for {config.num_arrays}; rebuild the plan with "
+                    "plan_shards"
+                )
+            contexts = build_position_contexts(
+                plan,
+                row_sliced,
+                col_sliced,
+                edge_arrays,
+                config.orientation,
+                join_plan=join_plan,
+            )
+            # A passed join plan is always used, as on the single-array
+            # path; each lane carries its subset only when one was given.
+            outcome = execute_contexts(
+                contexts,
+                config.capacity_slices,
+                policy=config.policy,
+                seed=config.seed,
+                workers=config.workers,
+            )
+        notes: dict = {}
+        if coloring:
+            notes = {
+                "shard_by": "coloring",
+                "colors": shard_contexts[0].colors,
+                "num_shards": len(shard_contexts),
+                "communication_free": True,
+                "balance": context_balance(shard_contexts),
+            }
+            if context_pool is not None or (
+                config.workers > 0 and config.backing == "shm"
+            ):
+                notes["pool_backing"] = "shm"
+            if context_pool is not None:
+                notes["pool_workers"] = context_pool.workers
         return (
             outcome.accumulator,
             outcome.events,
@@ -590,60 +645,6 @@ class TCIMAccelerator:
             plan=join_plan,
         )
         return accumulator, EventCounts(**fields), cache_stats
-
-    def _run_sharded(
-        self,
-        graph: Graph,
-        row_sliced: SlicedMatrix,
-        col_sliced: SlicedMatrix,
-        edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-        plan=None,
-        join_plan=None,
-    ) -> tuple[int, EventCounts, CacheStatistics, list]:
-        """Multi-array dataflow (see :mod:`repro.core.sharding`)."""
-        from repro.core.engine import oriented_edges
-        from repro.core.sharding import execute_sharded, plan_shards
-
-        config = self.config
-        # Materialise the oriented edge list once; the planner and the
-        # orchestrator both consume it.  A caller holding both (the
-        # session) passes them in and nothing is rebuilt.
-        if edge_arrays is None:
-            sources, destinations = oriented_edges(graph, config.orientation)
-        else:
-            sources, destinations = edge_arrays
-        if plan is None:
-            plan = plan_shards(
-                graph,
-                config.orientation,
-                config.num_arrays,
-                config.shard_by,
-                sources=sources,
-            )
-        elif plan.num_arrays != config.num_arrays:
-            raise ArchitectureError(
-                f"plan covers {plan.num_arrays} arrays but the config asks "
-                f"for {config.num_arrays}; rebuild the plan with plan_shards"
-            )
-        outcome = execute_sharded(
-            graph,
-            row_sliced,
-            col_sliced,
-            config.orientation,
-            plan,
-            config.capacity_slices,
-            policy=config.policy,
-            seed=config.seed,
-            workers=config.workers,
-            edge_arrays=(sources, destinations),
-            join_plan=join_plan,
-        )
-        return (
-            outcome.accumulator,
-            outcome.events,
-            outcome.cache_stats,
-            outcome.shards,
-        )
 
     def _run_legacy(
         self,

@@ -53,7 +53,7 @@ import numpy as np
 from repro.core.accelerator import AcceleratorConfig, EventCounts
 from repro.core.engine import execute_batched
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import plan_shards
+from repro.core.sharding import array_budget, plan_shards
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphError
 
@@ -419,14 +419,9 @@ def symmetric_delta(
             _, touched_counts = row_sliced.row_slice_ranges(
                 np.unique(shard_sources)
             )
-            row_region = int(touched_counts.max(initial=0))
-            column_capacity = per_array_capacity - row_region
-            if column_capacity < 1:
-                raise ArchitectureError(
-                    f"incremental batch needs a row region of {row_region} "
-                    f"slices but the per-array capacity is "
-                    f"{per_array_capacity}; use fewer arrays or a larger array"
-                )
+            _, column_capacity = array_budget(
+                touched_counts, per_array_capacity, "incremental batch"
+            )
             shard_accumulator, fields, shard_cache = execute_batched(
                 None,
                 row_sliced,

@@ -5,23 +5,26 @@ mats of sub-arrays — 128 sub-arrays in the paper's configuration — each
 with its own row buffer and local bit counter.  The analytic layer
 (:mod:`repro.arch.pipeline`) has always *priced* that parallelism by
 Amdahl-scaling a single-array run; this module makes the functional
-simulator actually execute it:
+simulator actually execute it.
 
-1. a pluggable **partitioner** splits the oriented edge list across
-   ``num_arrays`` simulated arrays (a :class:`ShardPlan`);
-2. each shard runs the vectorized kernel
-   (:func:`repro.core.engine.execute_batched`) over its own edge range,
-   with a private row region sized to the rows it touches and a private
-   column-slice cache covering its share of the array capacity;
-3. per-shard results are merged: the triangle accumulator and the
-   additive :class:`~repro.core.accelerator.EventCounts` sum exactly,
-   cache statistics merge element-wise, and the per-shard breakdown is
-   kept so the architecture model can price the *measured* critical path
-   (slowest shard) instead of a uniform analytic scaling.
+Every shard is a :class:`ShardContext`: a row structure plus one or more
+**lanes**, each an edge list joined against a column structure with its
+own compiled :class:`~repro.core.plan.JoinPlan`.  One executor runs them
+all (:func:`execute_contexts` per call, :class:`ContextPool` resident):
+each shard reserves a private row region sized to the rows it touches
+out of its equal share of the array capacity, runs the vectorized
+kernel over its lanes with a private column-slice cache, and the
+per-shard results merge — the triangle accumulator and the additive
+:class:`~repro.core.accelerator.EventCounts` sum exactly, cache
+statistics merge element-wise, and the per-shard breakdown is kept so
+the architecture model can price the *measured* critical path (slowest
+shard) instead of a uniform analytic scaling.
 
 Partitioning strategy matters as much as unit count — real-PIM follow-up
 work (Asquini et al.) shows per-bank load balance dominates multi-array
-triangle-counting performance — so three partitioners are provided:
+triangle-counting performance — so four partitioners are provided.
+Three split *positions* of one shared oriented edge list
+(:func:`plan_shards` → :class:`ShardPlan`):
 
 * ``"edges"`` — contiguous edge ranges, the cheapest split (a row's edges
   may straddle a boundary, costing duplicate row-slice loads);
@@ -30,31 +33,34 @@ triangle-counting performance — so three partitioners are provided:
 * ``"degree"`` — greedy longest-processing-time assignment of whole rows
   by successor count, balancing expected AND work across arrays.
 
-The three partitioners above split *positions* of one shared oriented
-edge list: every shard still reads the same global slice structures and
-the orchestrator merges partial results afterwards.  The **coloring**
-partitioner (PIM-TC; Asquini et al., "Accelerating Triangle Counting
-with Real Processing-in-Memory Systems") instead makes each shard
-*self-contained*: ``C`` vertex colors induce ``Binom(C+2, 3)`` shards,
-one per color triple ``{x <= y <= z}``, and each shard owns its own
-oriented edge arrays, its own locally built :class:`SlicedMatrix`
-structures and its own compiled :class:`~repro.core.plan.JoinPlan` — a
-:class:`ShardContext`.  Every triangle's vertex-color multiset names
-exactly one shard, so the per-shard counts sum to the exact total with
-**zero cross-shard slice traffic**: a process (or, later, a host) can
-own a context outright and answer repeat queries without ever touching
-shared state.  See :func:`build_shard_contexts` for the construction
-and the lane decomposition that keeps monochromatic triples exact.
+:func:`build_position_contexts` turns such a plan into single-lane
+contexts that *reference* the caller's global row and column structures
+(the lane holds the shard's edge subset and its
+:meth:`~repro.core.plan.JoinPlan.subset`), so every shard still reads the
+same slice structures and the orchestrator merges partial results
+afterwards.  The **coloring** partitioner (PIM-TC; Asquini et al.,
+"Accelerating Triangle Counting with Real Processing-in-Memory Systems")
+instead makes each shard *self-contained*: ``C`` vertex colors induce
+``Binom(C+2, 3)`` shards, one per color triple ``{x <= y <= z}``, and
+each shard owns its own oriented edge arrays, its own locally built
+:class:`SlicedMatrix` structures and its own compiled join plans.  Every
+triangle's vertex-color multiset names exactly one shard, so the
+per-shard counts sum to the exact total with **zero cross-shard slice
+traffic**: a process (or, later, a host) can own a context outright and
+answer repeat queries without ever touching shared state.  See
+:func:`build_shard_contexts` for the construction and the lane
+decomposition that keeps monochromatic triples exact.
 
-Invariants (asserted by ``tests/test_sharding.py`` and
-``tests/test_coloring.py``): ``num_arrays=1`` reproduces the
-single-array vectorized engine bit for bit; for any ``num_arrays`` the
-merged triangle count is exact; position partitioners conserve the
-additive event counters (``edges_processed``, ``and_operations``,
-``dense_pair_operations``, ...) against their single-array totals,
-while coloring replicates each edge into ``C`` contexts (the PIM-TC
-trade: ``C×`` the edge volume buys zero communication) and conserves
-the merged counters against the field-wise sum of its shards.
+Invariants (asserted by ``tests/test_sharding.py``,
+``tests/test_position_golden.py`` and ``tests/test_coloring.py``):
+``num_arrays=1`` reproduces the single-array vectorized engine bit for
+bit; for any ``num_arrays`` the merged triangle count is exact; position
+partitioners conserve the additive event counters (``edges_processed``,
+``and_operations``, ``dense_pair_operations``, ...) against their
+single-array totals, while coloring replicates each edge into ``C``
+contexts (the PIM-TC trade: ``C×`` the edge volume buys zero
+communication) and conserves the merged counters against the field-wise
+sum of its shards.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import execute_batched, oriented_edges
+from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError
@@ -82,12 +88,13 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
     "ShardedOutcome",
+    "array_budget",
     "assign_colors",
+    "build_position_contexts",
     "build_shard_contexts",
     "color_triples",
     "context_balance",
     "execute_contexts",
-    "execute_sharded",
     "min_colors",
     "num_color_shards",
     "plan_shards",
@@ -113,9 +120,9 @@ class ShardPlan:
     deterministic.  Shards may be empty (more arrays than edges).
 
     ``orientation`` records which oriented edge list the positions index
-    into; :func:`execute_sharded` rejects a plan built for a different
-    orientation or a different edge count (the position spaces differ, so
-    reusing one silently selects the wrong edges).
+    into; :func:`build_position_contexts` rejects a plan built for a
+    different orientation or a different edge count (the position spaces
+    differ, so reusing one silently selects the wrong edges).
 
     ``eq=False``: ndarray fields make the generated ``__eq__`` ambiguous,
     so plans compare (and hash) by identity.
@@ -266,193 +273,6 @@ def plan_shards(
     )
 
 
-def _run_one_shard(
-    shard_id: int,
-    shard_sources: np.ndarray,
-    shard_destinations: np.ndarray,
-    shard_join_plan,
-    graph: Graph,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
-    orientation: str,
-    per_array_capacity: int,
-    policy,
-    seed: int,
-    batch_candidates: int | None,
-) -> ShardResult:
-    """Execute one shard on its private simulated array.
-
-    Top-level (not a closure) so :class:`ProcessPoolExecutor` can pickle
-    it along with its arguments.  ``shard_join_plan`` optionally carries
-    this shard's slice of a compiled :class:`repro.core.plan.JoinPlan`
-    (see :meth:`JoinPlan.subset`); the kernel then skips the merge-join.
-    """
-    from repro.core.accelerator import EventCounts
-    from repro.core.engine import DEFAULT_BATCH_CANDIDATES
-
-    touched_rows = np.unique(shard_sources)
-    _, touched_counts = row_sliced.row_slice_ranges(touched_rows)
-    row_region = int(touched_counts.max(initial=0))
-    column_capacity = per_array_capacity - row_region
-    if column_capacity < 1:
-        raise ArchitectureError(
-            f"shard {shard_id}: per-array capacity {per_array_capacity} "
-            f"slices cannot hold its row region ({row_region} slices) plus "
-            f"a column cache; use fewer arrays or a larger array"
-        )
-    accumulator, fields, cache_stats = execute_batched(
-        graph,
-        row_sliced,
-        col_sliced,
-        orientation,
-        column_capacity,
-        policy=policy,
-        seed=seed,
-        batch_candidates=(
-            batch_candidates if batch_candidates else DEFAULT_BATCH_CANDIDATES
-        ),
-        edges=(shard_sources, shard_destinations),
-        row_writes=int(touched_counts.sum()),
-        plan=shard_join_plan,
-    )
-    return ShardResult(
-        shard_id=shard_id,
-        edges=int(shard_sources.size),
-        rows=int(touched_rows.size),
-        accumulator=accumulator,
-        events=EventCounts(**fields),
-        cache_stats=cache_stats,
-        row_region_slices=row_region,
-        column_cache_slices=column_capacity,
-    )
-
-
-def execute_sharded(
-    graph: Graph,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
-    orientation: str,
-    plan: ShardPlan,
-    capacity_slices: int,
-    policy,
-    seed: int,
-    workers: int = 0,
-    batch_candidates: int | None = None,
-    edge_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-    join_plan=None,
-) -> ShardedOutcome:
-    """Fan the shards of ``plan`` out over simulated arrays and merge.
-
-    ``capacity_slices`` is the *total* computational-array capacity; each
-    of the ``plan.num_arrays`` arrays owns an equal share, mirroring the
-    fixed 16 MB budget the paper splits across its 128 sub-arrays.  Each
-    shard reserves its own row region (sized to the rows it touches) out
-    of that share and runs a private column-cache trace.
-
-    ``workers=0`` runs shards serially in-process; ``workers>0`` fans
-    them out over a :class:`ProcessPoolExecutor` — results are identical
-    because shards share no mutable state.  ``edge_arrays`` optionally
-    passes the already-materialised ``(sources, destinations)`` pair.
-
-    ``join_plan`` optionally passes the full edge list's compiled
-    :class:`repro.core.plan.JoinPlan`; each shard then receives its
-    :meth:`~repro.core.plan.JoinPlan.subset` and skips the per-query
-    merge-join.  The plan must cover exactly the edges of ``plan`` (same
-    oriented edge list) — a count mismatch raises rather than silently
-    mis-joining.
-    """
-    from repro.core.accelerator import EventCounts
-
-    if workers < 0:
-        raise ArchitectureError(f"workers must be >= 0, got {workers}")
-    if plan.orientation != orientation:
-        raise ArchitectureError(
-            f"plan was built for orientation {plan.orientation!r} but the "
-            f"run uses {orientation!r}; shard positions index different "
-            "edge lists — rebuild the plan with plan_shards"
-        )
-    per_array_capacity = capacity_slices // plan.num_arrays
-    if per_array_capacity < 2:
-        raise ArchitectureError(
-            f"array of {capacity_slices} slices split {plan.num_arrays} ways "
-            f"leaves {per_array_capacity} slices per array; need at least 2"
-        )
-    if edge_arrays is None:
-        sources, destinations = oriented_edges(graph, orientation)
-    else:
-        sources, destinations = edge_arrays
-    if plan.num_edges != int(sources.size):
-        raise ArchitectureError(
-            f"plan covers {plan.num_edges} edges but the oriented edge list "
-            f"has {sources.size}; the plan was built for a different graph "
-            "— rebuild it with plan_shards"
-        )
-    if join_plan is not None and join_plan.num_edges != int(sources.size):
-        raise ArchitectureError(
-            f"join plan covers {join_plan.num_edges} edges but the oriented "
-            f"edge list has {sources.size}; compile a plan for this edge list"
-        )
-    shared = (
-        graph,
-        row_sliced,
-        col_sliced,
-        orientation,
-        per_array_capacity,
-        policy,
-        seed,
-        batch_candidates,
-    )
-    jobs = [
-        (
-            shard_id,
-            sources[positions],
-            destinations[positions],
-            join_plan.subset(positions) if join_plan is not None else None,
-        )
-        for shard_id, positions in enumerate(plan.assignments)
-    ]
-    if workers > 0 and len(jobs) > 1:
-        # The graph and both slice structures are identical for every
-        # shard: ship them once per worker via the initializer instead of
-        # pickling them into each job (O(n + m) per shard otherwise).
-        max_workers = min(workers, len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_init_shard_worker,
-            initargs=shared,
-        ) as pool:
-            shard_results = list(pool.map(_run_pooled_shard, jobs))
-    else:
-        shard_results = [_run_one_shard(*job, *shared) for job in jobs]
-    accumulator = sum(result.accumulator for result in shard_results)
-    events = EventCounts()
-    cache_stats = CacheStatistics()
-    for result in shard_results:
-        events = events + result.events
-        cache_stats = cache_stats.merge(result.cache_stats)
-    return ShardedOutcome(
-        accumulator=accumulator,
-        events=events,
-        cache_stats=cache_stats,
-        shards=shard_results,
-    )
-
-
-#: Per-process shared state installed by :func:`_init_shard_worker`.
-_WORKER_SHARED: tuple | None = None
-
-
-def _init_shard_worker(*shared) -> None:
-    """Pool initializer: stash the run-wide read-only state once."""
-    global _WORKER_SHARED
-    _WORKER_SHARED = shared
-
-
-def _run_pooled_shard(job: tuple) -> ShardResult:
-    """Run one ``(shard_id, sources, destinations)`` job in a pool worker."""
-    return _run_one_shard(*job, *_WORKER_SHARED)
-
-
 # ----------------------------------------------------------------------
 # Vertex-coloring partitioner: self-contained shard contexts
 # ----------------------------------------------------------------------
@@ -596,19 +416,24 @@ class ShardLane:
 
 @dataclass(eq=False)
 class ShardContext:
-    """A fully self-contained shard: structures, edges and plans owned.
+    """One simulated array's shard: a row structure and its lanes.
 
-    Unlike the :class:`ShardPlan` path — position subsets over *shared*
-    slice structures, merged globally afterwards — a context carries
-    everything one simulated array (or one pool process, or one remote
-    host) needs to count its color triple's triangles: the shard's own
-    oriented edge arrays (one lane per witness color), its own row
-    :class:`SlicedMatrix` built from exactly its edges, each lane's own
-    color-masked column structure, and each lane's own compiled
-    :class:`~repro.core.plan.JoinPlan`.  Contexts reference **no**
-    global structure, so shipping one to a worker ships the whole shard
-    and repeat queries dispatch by shard id alone (see
-    :class:`ContextPool`).
+    A coloring context (:func:`build_shard_contexts`) is fully
+    self-contained: it carries everything one simulated array (or one
+    pool process, or one remote host) needs to count its color triple's
+    triangles — the shard's own oriented edge arrays (one lane per
+    witness color), its own row :class:`SlicedMatrix` built from exactly
+    its edges, each lane's own color-masked column structure, and each
+    lane's own compiled :class:`~repro.core.plan.JoinPlan`.  Such
+    contexts reference **no** global structure, so shipping one to a
+    worker ships the whole shard and repeat queries dispatch by shard id
+    alone (see :class:`ContextPool`).
+
+    A position context (:func:`build_position_contexts`) is the
+    degenerate single-color case restricted to a :class:`ShardPlan`'s
+    positions: ``triple=(0, 0, 0)``, one unmasked lane, and *shared*
+    global row and column structures.  It is never adopted into shared
+    memory — adoption would rebind the caller's resident arrays.
 
     ``triple`` is the color multiset this shard owns; every triangle
     whose vertex colors form that multiset is counted here and nowhere
@@ -884,6 +709,73 @@ def build_shard_contexts(
     return contexts
 
 
+def build_position_contexts(
+    plan: ShardPlan,
+    row_sliced: SlicedMatrix,
+    col_sliced: SlicedMatrix,
+    edge_arrays: tuple[np.ndarray, np.ndarray],
+    orientation: str,
+    join_plan=None,
+) -> list[ShardContext]:
+    """One single-lane :class:`ShardContext` per shard of ``plan``.
+
+    Each context's row structure *is* ``row_sliced`` and its one lane
+    joins the shard's positions of ``edge_arrays`` against
+    ``col_sliced`` — nothing is copied but the edge subsets.
+    ``join_plan`` optionally passes the full edge list's compiled
+    :class:`repro.core.plan.JoinPlan`; each lane then carries its
+    :meth:`~repro.core.plan.JoinPlan.subset` and skips the merge-join.
+    A plan built for another orientation, or for an edge list of a
+    different length, raises rather than silently selecting the wrong
+    edges; so does a join plan that does not cover this edge list.
+    """
+    sources, destinations = edge_arrays
+    if plan.orientation != orientation:
+        raise ArchitectureError(
+            f"plan was built for orientation {plan.orientation!r} but the "
+            f"run uses {orientation!r}; shard positions index different "
+            "edge lists — rebuild the plan with plan_shards"
+        )
+    if plan.num_edges != int(sources.size):
+        raise ArchitectureError(
+            f"plan covers {plan.num_edges} edges but the oriented edge list "
+            f"has {sources.size}; the plan was built for a different graph "
+            "— rebuild it with plan_shards"
+        )
+    if join_plan is not None and join_plan.num_edges != int(sources.size):
+        raise ArchitectureError(
+            f"join plan covers {join_plan.num_edges} edges but the oriented "
+            f"edge list has {sources.size}; compile a plan for this edge list"
+        )
+    return [
+        ShardContext(
+            shard_id=shard_id,
+            triple=(0, 0, 0),
+            orientation=orientation,
+            num_vertices=row_sliced.num_rows,
+            slice_bits=row_sliced.slice_bits,
+            colors=1,
+            color_seed=0,
+            row_sliced=row_sliced,
+            lanes=[
+                ShardLane(
+                    witness_color=0,
+                    pair=(0, 0),
+                    sources=sources[positions],
+                    destinations=destinations[positions],
+                    col_sliced=col_sliced,
+                    join_plan=(
+                        join_plan.subset(positions)
+                        if join_plan is not None
+                        else None
+                    ),
+                )
+            ],
+        )
+        for shard_id, positions in enumerate(plan.assignments)
+    ]
+
+
 def context_balance(contexts: list[ShardContext]) -> float:
     """Partitioner balance: max shard edges over mean shard edges.
 
@@ -906,13 +798,12 @@ def _run_context(
     batch_candidates: int | None,
     use_plan: bool,
 ) -> ShardResult:
-    """Execute one self-contained context on its private array.
+    """Execute one context on its private array.
 
-    Each lane is one gather → AND → popcount pass over the shard's own
+    Each lane is one gather → AND → popcount pass over the context's
     structures; lane accumulators, events and cache statistics merge
-    into the shard's :class:`ShardResult`.  Nothing here reads global
-    state — the property the process-pool path (and the no-shared-
-    structures test) relies on.
+    into the shard's :class:`ShardResult`.  Nothing here reads
+    module-level state, so a worker holding the context can run it.
     """
     from repro.core.accelerator import EventCounts
     from repro.core.engine import DEFAULT_BATCH_CANDIDATES
@@ -920,15 +811,9 @@ def _run_context(
 
     touched = context.touched_rows()
     _, touched_counts = context.row_sliced.row_slice_ranges(touched)
-    row_region = int(touched_counts.max(initial=0))
-    column_capacity = per_array_capacity - row_region
-    if column_capacity < 1:
-        raise ArchitectureError(
-            f"shard {context.shard_id}: per-array capacity "
-            f"{per_array_capacity} slices cannot hold its row region "
-            f"({row_region} slices) plus a column cache; use fewer arrays "
-            "or a larger array"
-        )
+    row_region, column_capacity = array_budget(
+        touched_counts, per_array_capacity, f"shard {context.shard_id}"
+    )
     accumulator = 0
     events = EventCounts()
     cache_stats = CacheStatistics()
@@ -983,7 +868,29 @@ def _merge_shard_results(shard_results: list[ShardResult]) -> ShardedOutcome:
     )
 
 
+def array_budget(
+    row_slice_counts: np.ndarray, per_array_capacity: int, what: str
+) -> tuple[int, int]:
+    """Split one array's slice budget into ``(row_region, column_capacity)``.
+
+    The row region holds the widest row the pass touches
+    (``row_slice_counts`` are its rows' valid-slice counts); whatever is
+    left is the column cache, which must hold at least one slice.
+    ``what`` names the pass in the error (``"array"``, ``"shard 3"``).
+    """
+    row_region = int(row_slice_counts.max(initial=0))
+    column_capacity = per_array_capacity - row_region
+    if column_capacity < 1:
+        raise ArchitectureError(
+            f"{what}: capacity of {per_array_capacity} slices cannot hold "
+            f"its row region ({row_region} slices) plus a column cache; "
+            "use fewer arrays or a larger array"
+        )
+    return row_region, column_capacity
+
+
 def _context_capacity(capacity_slices: int, num_contexts: int) -> int:
+    """Each array's equal share of ``capacity_slices`` (at least 2)."""
     per_array_capacity = capacity_slices // num_contexts
     if per_array_capacity < 2:
         raise ArchitectureError(
@@ -1003,16 +910,18 @@ def execute_contexts(
     use_plan: bool = True,
     backing: str = "pickle",
 ) -> ShardedOutcome:
-    """Run a list of self-contained contexts and merge their results.
+    """Run a list of shard contexts and merge their results.
 
-    The communication-free counterpart of :func:`execute_sharded`: no
-    shared slice structures, no join-plan subsetting, no global edge
-    list — each context executes against what it owns.  ``workers>0``
+    The one per-call shard executor: coloring contexts execute against
+    what they own, position contexts (:func:`build_position_contexts`)
+    against the shared global structures they reference.  ``workers>0``
     fans contexts out over worker processes: ``backing="pickle"``
-    (default for a one-shot call) ships each whole shard through a
-    :class:`ProcessPoolExecutor` initializer; ``backing="shm"`` adopts
-    the contexts into shared segments and sweeps them through a
-    transient zero-copy :class:`ContextPool`.  For resident repeat-query
+    (the default, and the only mode for position contexts) runs a
+    one-shot :class:`ProcessPoolExecutor` whose forked workers inherit
+    the contexts through its initializer; ``backing="shm"`` adopts
+    self-contained contexts into shared segments and sweeps them through
+    a transient zero-copy :class:`ContextPool`.  A worker death raises
+    :class:`~repro.errors.ArchitectureError`.  For resident repeat-query
     serving, hold a :class:`ContextPool` open instead.
     """
     if not contexts:
@@ -1029,21 +938,28 @@ def execute_contexts(
                 seed,
                 workers=workers,
                 batch_candidates=batch_candidates,
-                backing="shm",
             ) as pool:
                 return pool.run(use_plan=use_plan)
         max_workers = min(workers, len(contexts), os.cpu_count() or 1)
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_init_context_worker,
-            initargs=(contexts, per_array_capacity, policy, seed, batch_candidates),
-        ) as pool:
-            shard_results = list(
-                pool.map(
-                    _run_resident_context,
-                    [(ctx.shard_id, use_plan) for ctx in contexts],
+        try:
+            with ProcessPoolExecutor(
+                max_workers=max_workers,
+                initializer=_init_context_worker,
+                initargs=(
+                    contexts, per_array_capacity, policy, seed, batch_candidates
+                ),
+            ) as pool:
+                shard_results = list(
+                    pool.map(
+                        _run_resident_context,
+                        [(ctx.shard_id, use_plan) for ctx in contexts],
+                    )
                 )
-            )
+        except BrokenProcessPool:
+            raise ArchitectureError(
+                "execute_contexts worker died mid-sweep; the one-shot pool "
+                "has been shut down"
+            ) from None
     else:
         shard_results = [
             _run_context(
@@ -1085,7 +1001,7 @@ def _run_resident_context(job: tuple[int, bool]) -> ShardResult:
 # Zero-copy manifests: contexts as segment names instead of array bytes
 # ----------------------------------------------------------------------
 #
-# A :class:`ShardContext` under ``backing="shm"`` lives in named
+# A :class:`ShardContext` in a :class:`ContextPool` lives in named
 # shared-memory segments (see :mod:`repro.storage.backing`).  What
 # crosses the process boundary is a *manifest* — nested dicts of
 # ``{"segment": name, "dtype": ..., "shape": ...}`` entries plus the
@@ -1390,37 +1306,32 @@ def _run_manifest_chunk(job: tuple) -> list[ShardResult]:
 
 
 class ContextPool:
-    """A persistent worker pool with the shard contexts resident.
+    """A persistent zero-copy worker pool with the shard contexts resident.
 
-    The :class:`ShardPlan` path pays its data movement on *every*
-    sharded call: a fresh process pool, the graph and both global slice
-    structures shipped through the initializer, per-shard edge subsets
-    and plan slices pickled into each job.  Self-contained contexts
-    invert that, and the pool supports two residency planes:
+    A per-call :func:`execute_contexts` pool pays its data movement on
+    every call: a fresh process pool, and every context inherited or
+    shipped again.  The resident pool pays it once.  Every context array
+    is adopted into named shared-memory segments
+    (:class:`repro.storage.BackingStore`, ``kind="shm"``) at
+    construction; workers attach each segment **once** and every
+    :meth:`run` sends one batched message per worker — a chunk of shard
+    ids plus byte-free manifests — instead of one future per shard.
+    In-place payload deltas applied by the owner are visible to workers
+    with **no re-ship**; structural mutations are fenced by
+    :meth:`publish`, which bumps a generation counter so workers rebuild
+    from the republished manifests.  :meth:`run` and :meth:`publish`
+    serialise on one lock, so a concurrent delta is either fully visible
+    to a sweep or fully invisible — never torn.
 
-    ``backing="shm"`` (default)
-        Zero-copy.  Every context array is adopted into named
-        shared-memory segments (:class:`repro.storage.BackingStore`,
-        ``kind="shm"``) at construction; workers attach each segment
-        **once** and every :meth:`run` sends one batched message per
-        worker — a chunk of shard ids plus byte-free manifests — instead
-        of one future per shard.  In-place payload deltas applied by the
-        owner are visible to workers with **no re-ship**; structural
-        mutations are fenced by :meth:`publish`, which bumps a
-        generation counter so workers rebuild from the republished
-        manifests.  :meth:`run` and :meth:`publish` serialise on one
-        lock, so a concurrent delta is either fully visible to a sweep
-        or fully invisible — never torn.
-
-    ``backing="pickle"``
-        The PR 9 plane, kept as the measured baseline: the full context
-        list is pickled into each worker via the pool initializer and
-        sweeps dispatch ``(shard_id, use_plan)`` futures.
+    Adoption rebinds the contexts' arrays onto the shared pages, so only
+    self-contained (coloring) contexts belong here — never position
+    contexts, whose structures are the caller's resident globals.
 
     Use as a context manager or call :meth:`close` (idempotent; a
-    worker crash mid-sweep reclaims the executor and every shm segment
-    before the error propagates).  Results are bit-identical to
-    :func:`execute_contexts` serial execution.
+    worker crash mid-sweep, or a failed construction, reclaims the
+    executor and every shm segment before the error propagates).
+    Results are bit-identical to :func:`execute_contexts` serial
+    execution.
     """
 
     def __init__(
@@ -1431,7 +1342,6 @@ class ContextPool:
         seed: int,
         workers: int,
         batch_candidates: int | None = None,
-        backing: str = "shm",
     ) -> None:
         if not contexts:
             raise ArchitectureError("ContextPool needs at least one context")
@@ -1439,28 +1349,18 @@ class ContextPool:
             raise ArchitectureError(
                 f"ContextPool needs workers >= 1, got {workers}"
             )
-        if backing not in ("shm", "pickle"):
-            raise ArchitectureError(
-                f"ContextPool backing must be 'shm' or 'pickle', got {backing!r}"
-            )
+        from repro.storage.backing import BackingStore
+
         per_array_capacity = _context_capacity(capacity_slices, len(contexts))
-        self.backing = backing
         self._contexts = contexts
         self._shard_ids = [ctx.shard_id for ctx in contexts]
-        self._initargs = (per_array_capacity, policy, seed, batch_candidates)
         self._max_workers = min(workers, len(contexts), os.cpu_count() or 1)
         self._lock = threading.Lock()
         self._closed = False
         self._generation = 0
-        self._store = None
-        self._manifests: dict[int, dict] = {}
-        self._versions: dict[int, int] = {}
-        self._signatures: dict[int, tuple] = {}
-        self._identities: dict[int, tuple] = {}
-        if backing == "shm":
-            from repro.storage.backing import BackingStore
-
-            self._store = BackingStore("shm")
+        self._executor = None
+        self._store = BackingStore("shm")
+        try:
             self._manifests = {
                 ctx.shard_id: _share_context(ctx, self._store) for ctx in contexts
             }
@@ -1478,14 +1378,13 @@ class ContextPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._max_workers,
                 initializer=_init_pool_worker,
-                initargs=self._initargs,
+                initargs=(per_array_capacity, policy, seed, batch_candidates),
             )
-        else:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                initializer=_init_context_worker,
-                initargs=(contexts,) + self._initargs,
-            )
+        except BaseException:
+            # A half-built pool (e.g. /dev/shm full mid-export) must not
+            # leave the segments created so far linked.
+            self._reclaim()
+            raise
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1503,13 +1402,13 @@ class ContextPool:
 
     @property
     def shared_bytes(self) -> int:
-        """Bytes in live shared segments (0 under pickle backing)."""
-        return self._store.shared_bytes if self._store is not None else 0
+        """Bytes in live shared segments."""
+        return self._store.shared_bytes
 
     @property
     def shared_segments(self) -> int:
-        """Live shared segments (0 under pickle backing)."""
-        return self._store.shared_segments if self._store is not None else 0
+        """Live shared segments."""
+        return self._store.shared_segments
 
     @property
     def closed(self) -> bool:
@@ -1522,46 +1421,35 @@ class ContextPool:
     def run(self, use_plan: bool = True) -> ShardedOutcome:
         """One full sweep over the resident shards.
 
-        Under shm backing: one batched message per worker (chunked
-        shard-id lists + manifests), attached arrays read zero-copy.
-        Under pickle backing: one ``(shard_id, use_plan)`` future per
-        shard against the shipped copies.
+        One batched message per worker (chunked shard-id lists +
+        manifests); workers read the attached arrays zero-copy.
         """
         with self._lock:
             if self._closed:
                 raise ArchitectureError("ContextPool is closed")
+            chunks = [
+                self._shard_ids[i :: self._max_workers]
+                for i in range(self._max_workers)
+            ]
+            jobs = [
+                (
+                    [
+                        (sid, self._versions[sid], self._manifests[sid])
+                        for sid in chunk
+                    ],
+                    use_plan,
+                )
+                for chunk in chunks
+                if chunk
+            ]
             try:
-                if self.backing == "pickle":
-                    shard_results = list(
-                        self._executor.map(
-                            _run_resident_context,
-                            [(sid, use_plan) for sid in self._shard_ids],
-                        )
+                shard_results = [
+                    result
+                    for chunk_results in self._executor.map(
+                        _run_manifest_chunk, jobs
                     )
-                else:
-                    chunks = [
-                        self._shard_ids[i :: self._max_workers]
-                        for i in range(self._max_workers)
-                    ]
-                    jobs = [
-                        (
-                            [
-                                (sid, self._versions[sid], self._manifests[sid])
-                                for sid in chunk
-                            ],
-                            use_plan,
-                        )
-                        for chunk in chunks
-                        if chunk
-                    ]
-                    shard_results = [
-                        result
-                        for chunk_results in self._executor.map(
-                            _run_manifest_chunk, jobs
-                        )
-                        for result in chunk_results
-                    ]
-                    shard_results.sort(key=lambda result: result.shard_id)
+                    for result in chunk_results
+                ]
             except BrokenProcessPool:
                 # A worker died mid-sweep: nothing it held can be
                 # trusted and the executor is unusable — reclaim the
@@ -1571,6 +1459,7 @@ class ContextPool:
                     "ContextPool worker died mid-sweep; the pool has been "
                     "closed and its shared segments reclaimed"
                 ) from None
+        shard_results.sort(key=lambda result: result.shard_id)
         return _merge_shard_results(shard_results)
 
     def publish(self, mutator=None) -> None:
@@ -1583,9 +1472,7 @@ class ContextPool:
         landed in the shared pages), and only shards whose manifest
         fingerprint actually changed get a version bump — workers keep
         their cached rebuilds for every other shard, so a payload-only
-        delta costs the next sweep nothing.  Under pickle backing the
-        workers hold stale copies, so the executor is recycled to
-        re-ship.
+        delta costs the next sweep nothing.
         """
         with self._lock:
             if self._closed:
@@ -1593,28 +1480,20 @@ class ContextPool:
             if mutator is not None:
                 mutator()
             self._generation += 1
-            if self.backing == "shm":
-                for context in self._contexts:
-                    sid = context.shard_id
-                    if _context_identity(context) == self._identities[sid]:
-                        # No array reallocated, no manifest scalar moved:
-                        # the exported manifest is still exact and the
-                        # workers' cached rebuilds stay valid.
-                        continue
-                    manifest = _share_context(context, self._store)
-                    signature = _manifest_signature(manifest)
-                    if signature != self._signatures[sid]:
-                        self._versions[sid] += 1
-                        self._signatures[sid] = signature
-                    self._manifests[sid] = manifest
-                    self._identities[sid] = _context_identity(context)
-            else:
-                self._executor.shutdown(wait=True)
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    initializer=_init_context_worker,
-                    initargs=(self._contexts,) + self._initargs,
-                )
+            for context in self._contexts:
+                sid = context.shard_id
+                if _context_identity(context) == self._identities[sid]:
+                    # No array reallocated, no manifest scalar moved: the
+                    # exported manifest is still exact and the workers'
+                    # cached rebuilds stay valid.
+                    continue
+                manifest = _share_context(context, self._store)
+                signature = _manifest_signature(manifest)
+                if signature != self._signatures[sid]:
+                    self._versions[sid] += 1
+                    self._signatures[sid] = signature
+                self._manifests[sid] = manifest
+                self._identities[sid] = _context_identity(context)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1626,14 +1505,14 @@ class ContextPool:
             return
         self._closed = True
         try:
-            self._executor.shutdown(wait=True, cancel_futures=True)
+            if self._executor is not None:
+                self._executor.shutdown(wait=True, cancel_futures=True)
         finally:
             self._manifests = {}
             self._versions = {}
             self._signatures = {}
             self._identities = {}
-            if self._store is not None:
-                self._store.close()
+            self._store.close()
 
     def close(self) -> None:
         """Shut the workers down and unlink every shared segment.

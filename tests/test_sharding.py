@@ -21,12 +21,14 @@ import numpy as np
 import pytest
 
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
+from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
 from repro.core.sharding import (
     PARTITIONERS,
     POSITION_PARTITIONERS,
     ShardPlan,
-    execute_sharded,
+    build_position_contexts,
+    execute_contexts,
     plan_shards,
 )
 from repro.core.slicing import SlicedMatrix
@@ -89,12 +91,11 @@ class TestSingleArrayIdentity:
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         plan = plan_shards(graph, "upper", 1, shard_by)
-        outcome = execute_sharded(
-            graph,
-            row_sliced,
-            col_sliced,
-            "upper",
-            plan,
+        contexts = build_position_contexts(
+            plan, row_sliced, col_sliced, oriented_edges(graph, "upper"), "upper"
+        )
+        outcome = execute_contexts(
+            contexts,
             config.capacity_slices,
             policy=config.policy,
             seed=config.seed,
@@ -203,6 +204,90 @@ class TestWorkers:
         ]
 
 
+    @pytest.mark.parametrize("shard_by", ["degree", "coloring"])
+    def test_worker_death_raises_typed_error(self, monkeypatch, shard_by):
+        """A worker dying in the one-shot pool surfaces ArchitectureError,
+        not a bare BrokenProcessPool (workers fork with the patch)."""
+        import os
+
+        from repro.core import sharding
+
+        monkeypatch.setattr(sharding, "_run_context", lambda *args: os._exit(1))
+        accelerator = TCIMAccelerator(
+            AcceleratorConfig(num_arrays=4, shard_by=shard_by, workers=2)
+        )
+        with pytest.raises(ArchitectureError, match="worker died"):
+            accelerator.run(GRAPHS["ba"]())
+
+
+class TestPositionContexts:
+    """Position shards are single-lane contexts over the shared structures."""
+
+    def test_lanes_reference_global_structures(self):
+        graph = GRAPHS["ba"]()
+        row_sliced = SlicedMatrix.from_graph(graph, "upper")
+        col_sliced = SlicedMatrix.from_graph(graph, "lower")
+        sources, destinations = oriented_edges(graph, "upper")
+        plan = plan_shards(graph, "upper", 3, "degree")
+        contexts = build_position_contexts(
+            plan, row_sliced, col_sliced, (sources, destinations), "upper"
+        )
+        assert [ctx.shard_id for ctx in contexts] == [0, 1, 2]
+        for context, positions in zip(contexts, plan.assignments):
+            assert context.row_sliced is row_sliced
+            (lane,) = context.lanes
+            assert lane.col_sliced is col_sliced
+            assert lane.join_plan is None
+            assert np.array_equal(lane.sources, sources[positions])
+            assert np.array_equal(lane.destinations, destinations[positions])
+
+    def test_join_plan_mismatch_rejected(self):
+        from repro.core.plan import build_join_plan
+
+        small = generators.barabasi_albert(50, 3, seed=4)
+        big = GRAPHS["ba"]()
+        row_sliced = SlicedMatrix.from_graph(big, "upper")
+        col_sliced = SlicedMatrix.from_graph(big, "lower")
+        small_plan = build_join_plan(
+            SlicedMatrix.from_graph(small, "upper"),
+            SlicedMatrix.from_graph(small, "lower"),
+            *oriented_edges(small, "upper"),
+        )
+        with pytest.raises(ArchitectureError, match="join plan covers"):
+            build_position_contexts(
+                plan_shards(big, "upper", 2),
+                row_sliced,
+                col_sliced,
+                oriented_edges(big, "upper"),
+                "upper",
+                join_plan=small_plan,
+            )
+
+    def test_shm_backing_never_adopts_position_structures(self):
+        """A position run under backing="shm" keeps the session's arrays
+        on the heap and leaves the notes empty (merge term still priced)."""
+        from repro.api import TCIMSession
+
+        graph = GRAPHS["ba"]()
+        serial = run(graph, num_arrays=4, shard_by="degree")
+        config = AcceleratorConfig(
+            num_arrays=4, shard_by="degree", workers=2, backing="shm"
+        )
+        with TCIMSession(graph, config) as session:
+            session.slice_stats()  # builds the resident structures
+            row_data = session._row_sliced.data
+            col_data = session._col_sliced.data
+            result = session.simulate().result
+            assert session._row_sliced.data is row_data
+            assert session._col_sliced.data is col_data
+            assert session._context_pool is None
+        assert result.notes == {}
+        assert result.triangles == serial.triangles
+        assert dataclasses.asdict(result.events) == dataclasses.asdict(
+            serial.events
+        )
+
+
 class TestShardPlans:
     def test_edges_partitioner_is_contiguous(self):
         graph = GRAPHS["ba"]()
@@ -212,8 +297,6 @@ class TestShardPlans:
 
     def test_rows_partitioner_keeps_rows_together(self):
         graph = GRAPHS["ba"]()
-        from repro.core.engine import oriented_edges
-
         sources, _ = oriented_edges(graph, "upper")
         plan = plan_shards(graph, "upper", 4, "rows")
         for shard_id, positions in enumerate(plan.assignments):
@@ -275,15 +358,12 @@ class TestValidation:
         col_sliced = SlicedMatrix.from_graph(graph, "symmetric")
         plan = plan_shards(graph, "upper", 2, "edges")
         with pytest.raises(ArchitectureError, match="orientation"):
-            execute_sharded(
-                graph,
+            build_position_contexts(
+                plan,
                 row_sliced,
                 col_sliced,
+                oriented_edges(graph, "symmetric"),
                 "symmetric",
-                plan,
-                AcceleratorConfig().capacity_slices,
-                policy="lru",
-                seed=0,
             )
 
     def test_plan_graph_mismatch_rejected(self):
@@ -293,15 +373,8 @@ class TestValidation:
         row_sliced = SlicedMatrix.from_graph(big, "upper")
         col_sliced = SlicedMatrix.from_graph(big, "lower")
         with pytest.raises(ArchitectureError, match="different graph"):
-            execute_sharded(
-                big,
-                row_sliced,
-                col_sliced,
-                "upper",
-                plan,
-                AcceleratorConfig().capacity_slices,
-                policy="lru",
-                seed=0,
+            build_position_contexts(
+                plan, row_sliced, col_sliced, oriented_edges(big, "upper"), "upper"
             )
 
     def test_plan_identity_semantics(self):

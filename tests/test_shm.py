@@ -21,6 +21,7 @@ Four invariant groups anchor the zero-copy plane:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
@@ -195,12 +196,10 @@ class TestManifestRoundTrip:
 
 
 class TestContextPoolLifecycle:
-    def _pool(self, graph, num_arrays=4, backing="shm", workers=2):
+    def _pool(self, graph, num_arrays=4, workers=2):
         capacity = AcceleratorConfig().capacity_slices
         contexts = build_shard_contexts(graph, "upper", num_arrays)
-        return ContextPool(
-            contexts, capacity, "lru", 0, workers=workers, backing=backing
-        )
+        return ContextPool(contexts, capacity, "lru", 0, workers=workers)
 
     def test_close_is_idempotent(self):
         pool = self._pool(_graph())
@@ -235,12 +234,40 @@ class TestContextPoolLifecycle:
             ContextPool([], capacity, "lru", 0, workers=2)
         with pytest.raises(ArchitectureError):
             ContextPool(contexts, capacity, "lru", 0, workers=0)
-        with pytest.raises(ArchitectureError):
-            ContextPool(contexts, capacity, "lru", 0, workers=2, backing="tape")
 
-    @pytest.mark.parametrize("backing", ["shm", "pickle"])
-    def test_worker_crash_mid_sweep_reclaims(self, backing):
-        pool = self._pool(_graph(), backing=backing)
+    def test_failed_construction_unlinks_created_segments(self, monkeypatch):
+        """/dev/shm filling up mid-export must not leak the segments
+        already created: the half-built pool reclaims its store."""
+        import errno
+        from multiprocessing import shared_memory
+
+        from repro.errors import StorageError
+
+        real = shared_memory.SharedMemory
+        created: list[str] = []
+
+        def failing_create(*args, **kwargs):
+            if kwargs.get("create"):
+                if len(created) == 5:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                segment = real(*args, **kwargs)
+                created.append(segment.name)
+                return segment
+            return real(*args, **kwargs)
+
+        contexts = build_shard_contexts(_graph(), "upper", 4)
+        capacity = AcceleratorConfig().capacity_slices
+        monkeypatch.setattr(shared_memory, "SharedMemory", failing_create)
+        with pytest.raises(StorageError):
+            ContextPool(contexts, capacity, "lru", 0, workers=2)
+        monkeypatch.undo()
+        assert len(created) == 5
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                attach_segment(name)
+
+    def test_worker_crash_mid_sweep_reclaims(self):
+        pool = self._pool(_graph())
         pool.run()  # spawn the workers before killing one
         pool._executor.submit(os._exit, 1)
         with pytest.raises(ArchitectureError, match="reclaimed"):
@@ -252,17 +279,22 @@ class TestContextPoolLifecycle:
         assert pool.shared_segments == 0
         pool.close()  # still idempotent after crash reclamation
 
-    def test_pickle_and_shm_pools_agree(self):
+    def test_shm_pool_matches_serial(self):
         graph = _graph(seed=11)
         capacity = AcceleratorConfig().capacity_slices
         serial = execute_contexts(
             build_shard_contexts(graph, "upper", 4), capacity, "lru", 0
         )
-        for backing in ("shm", "pickle"):
-            with self._pool(graph, backing=backing) as pool:
-                for use_plan in (True, False):
-                    outcome = pool.run(use_plan=use_plan)
-                    assert outcome.accumulator == serial.accumulator
+        with self._pool(graph) as pool:
+            for use_plan in (True, False):
+                outcome = pool.run(use_plan=use_plan)
+                assert outcome.accumulator == serial.accumulator
+                assert dataclasses.asdict(outcome.events) == dataclasses.asdict(
+                    serial.events
+                )
+                assert [
+                    dataclasses.asdict(shard) for shard in outcome.shards
+                ] == [dataclasses.asdict(shard) for shard in serial.shards]
 
 
 class TestGenerationFence:
