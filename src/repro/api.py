@@ -40,6 +40,7 @@ Usage::
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
@@ -60,10 +61,12 @@ from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
 from repro.core.sharding import _context_capacity, array_budget, plan_shards
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
-from repro.errors import GraphError, ReproError, StorageError
+from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
 from repro.graph.graph import Graph
 from repro.storage import snapshot as storage_snapshot
 from repro.storage.backing import BackingStore
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "ClusteringReport",
@@ -305,7 +308,13 @@ class TCIMSession:
         # that resident caches were rebuilt, i.e. engine work was redone.
         self._generation = 0
         self._num_vertices = graph.num_vertices
-        self._graph: Graph | None = graph
+        # The last materialised graph plus the batches committed since:
+        # reading ``graph`` splices their net delta into this snapshot
+        # (repro.core.incremental.splice_graph) rather than re-sorting
+        # the edge set.  The backlog is bounded like _pending_patches.
+        self._graph: Graph = graph
+        self._graph_pending: list[tuple[np.ndarray, bool]] = []
+        self._graph_pending_edges = 0
         self._edge_set: set[tuple[int, int]] | None = None
         # Where the large resident arrays live (repro.storage.backing):
         # config.storage_dir selects a memmap store that spills slice
@@ -375,11 +384,15 @@ class TCIMSession:
         self._workload_cache: dict = {}
         # Committed delta batches not yet folded into the oriented
         # structures/plan.  Applies only queue here (O(1)); the next
-        # engine query flushes the queue as one patch pass — so pure
-        # update streams never pay splice costs, and read-after-write
-        # pays one patch instead of a re-slice + plan recompile.
+        # engine query folds the queue into one net delta and splices it
+        # once — so pure update streams never pay splice costs, and
+        # read-after-write pays one splice and one plan patch instead of
+        # a re-slice + plan recompile.
         self._pending_patches: list[tuple[np.ndarray, bool]] = []
         self._pending_edges = 0
+        # Times each incremental patch path gave up and dropped its
+        # caches for a cold rebuild (see patch_fallbacks).
+        self._patch_fallbacks = {"flush": 0, "contexts": 0, "sym_plan": 0}
         # Cached query results, invalidated by updates.
         self._slice_stats: SliceStatistics | None = None
         self._run: TCIMRunResult | None = None
@@ -443,12 +456,36 @@ class TCIMSession:
 
     @property
     def graph(self) -> Graph:
-        """Snapshot of the current graph (rebuilt lazily after updates)."""
+        """Snapshot of the current graph.
+
+        After updates, the last materialised snapshot advances by one
+        splice of the net delta committed since
+        (:func:`repro.core.incremental.splice_graph`): a few array moves
+        over its edge list and CSR, with toggles that cancel out costing
+        nothing.  The splice checks that the net deletions were present,
+        the net insertions absent and the resulting edge count matches
+        the maintained edge set, and raises
+        :class:`~repro.errors.ArchitectureError` otherwise.
+        """
         with self._lock:
-            if self._graph is None:
-                edges = np.array(sorted(self._edge_set), dtype=np.int64)
-                self._graph = Graph(self._num_vertices, edges.reshape(-1, 2))
+            if self._graph_pending:
+                self._fold_graph()
             return self._graph
+
+    @property
+    def patch_fallbacks(self) -> dict[str, int]:
+        """How often each incremental patch path fell back to a rebuild.
+
+        Keys: ``flush`` (the oriented structures, edge arrays and join
+        plan folded on read), ``contexts`` (the coloring shard contexts
+        and their pool) and ``sym_plan`` (the symmetric workload plan
+        patched per committed batch).  A fallback drops that path's
+        caches, so results stay exact and only get slower; each one
+        also logs a ``patch_fallback`` event on the ``repro.api``
+        logger.  A copy; never reset.
+        """
+        with self._lock:
+            return dict(self._patch_fallbacks)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` is currently present."""
@@ -464,7 +501,8 @@ class TCIMSession:
         the oriented edge arrays, the compiled join plan, and a per-edge
         estimate for the materialised edge set.  This is the figure
         :class:`repro.serve.SessionPool` budgets its eviction against;
-        a freshly opened session reports only its graph's edge storage.
+        a freshly opened session reports only its graph's edge list and
+        CSR.
         """
         return self.resident_bytes_detail()["total"]
 
@@ -473,10 +511,11 @@ class TCIMSession:
 
         Keys (all bytes): ``slices`` (the resident slice structures),
         ``plan`` / ``sym_plan`` (the compiled join plans), ``edges``
-        (the oriented edge arrays), ``graph`` (the edge list and the
-        materialised edge set), ``shards`` (the self-contained coloring
-        shard contexts — per-shard structures, edge lanes and lane
-        plans; 0 unless ``shard_by="coloring"`` contexts are resident),
+        (the oriented edge arrays), ``graph`` (the retained graph
+        snapshot's edge list and CSR, plus the materialised edge set),
+        ``shards`` (the self-contained coloring shard contexts —
+        per-shard structures, edge lanes and lane plans; 0 unless
+        ``shard_by="coloring"`` contexts are resident),
         ``spilled`` (how much of the above is disk-backed rather than
         on heap — 0 for a ram store), ``shared`` (how much lives in
         named shared-memory segments pool workers attach zero-copy —
@@ -498,7 +537,8 @@ class TCIMSession:
             )
             plan = self._join_plan.nbytes if self._join_plan is not None else 0
             sym_plan = self._sym_plan.nbytes if self._sym_plan is not None else 0
-            graph = self._graph.edge_array().nbytes if self._graph is not None else 0
+            indptr, indices = self._graph.csr
+            graph = self._graph.edge_array().nbytes + indptr.nbytes + indices.nbytes
             if self._edge_set is not None:
                 # CPython footprint of a set of int 2-tuples, measured
                 # ~200 B/edge; 128 keeps the estimate conservative-cheap.
@@ -1726,11 +1766,13 @@ class TCIMSession:
         generation always marks a consistent new state.  Query-result
         caches are dropped (they priced the old graph); the *structural*
         residents — both oriented slice structures, the oriented edge
-        arrays, and the compiled join plan — are kept, with the batch
-        queued for :meth:`_flush_patches` to splice in when the next
-        engine query needs them.  Deferring keeps pure update streams at
-        pure delta-join cost while read-after-write pays one patch pass
-        instead of a re-slice and plan recompile.
+        arrays, the compiled join plan and the graph snapshot — are
+        kept, with the batch queued for the next read to fold in
+        (:meth:`_flush_patches`, the ``graph`` property).  A read folds
+        every queued batch into one net delta and splices it once, so
+        pure update streams pay pure delta-join cost, read-after-write
+        pays one splice and one plan patch however many batches were
+        queued, and an edge toggled back and forth costs nothing.
 
         ``sym_delta`` is the :class:`~repro.core.incremental.StructureDelta`
         the committed batch left on the symmetric structure.  Unlike the
@@ -1739,7 +1781,10 @@ class TCIMSession:
         (against this exact delta) or dropped; it cannot be queued.
         """
         self._generation += 1
-        self._graph = None if self._edge_set is not None else self._graph
+        self._graph_pending.append((delta_edges, insert))
+        self._graph_pending_edges += int(delta_edges.shape[0])
+        if self._graph_pending_edges > max(1024, self.num_edges // 4):
+            self._fold_graph()
         self._slice_stats = None
         self._run = None
         self._report = None
@@ -1798,7 +1843,8 @@ class TCIMSession:
                     store=self._store,
                 )
             self._sym_edge_arrays = new_edges
-        except Exception:
+        except Exception as error:
+            self._note_fallback("sym_plan", error)
             self._drop_sym_plan()
 
     def _drop_sym_plan(self) -> None:
@@ -1808,16 +1854,26 @@ class TCIMSession:
     def _flush_patches(self) -> None:
         """Fold every pending committed batch into the resident caches.
 
-        Callers hold ``self._lock``.  Any patching failure falls back to
-        dropping the caches (they are rebuildable from the graph), never
-        to an inconsistent session — patching is an optimisation, not a
+        Callers hold ``self._lock``.  The queue folds into one net delta
+        (:func:`repro.core.incremental.net_delta`; an edge toggled an
+        even number of times drops out), spliced once into each oriented
+        structure as a removal then an insertion, merged once into the
+        oriented edge arrays, and patched into the join plan with one
+        :func:`~repro.core.plan.patch_join_plan` call.  An empty net
+        delta leaves every structure and the plan untouched.  Any
+        patching failure counts a ``flush`` fallback and drops the
+        caches (they are rebuildable from the graph), never leaving an
+        inconsistent session — patching is an optimisation, not a
         source of truth.
         """
         if not self._pending_patches:
             return
         pending, self._pending_patches = self._pending_patches, []
         self._pending_edges = 0
-        self._patch_contexts(pending)
+        deletions, insertions = incremental.net_delta(pending, self._num_vertices)
+        if not (deletions.size or insertions.size):
+            return
+        self._patch_contexts(deletions, insertions)
         if (
             self._row_sliced is None
             or self._col_sliced is None
@@ -1826,68 +1882,107 @@ class TCIMSession:
             return
         try:
             orientation = self.config.orientation
-            for delta_edges, insert in pending:
-                mutate = incremental.set_bits if insert else incremental.clear_bits
-                row_delta = mutate(
-                    self._row_sliced,
-                    *joinplan.oriented_structure_bits(
-                        delta_edges, orientation, "row"
-                    ),
+
+            def splice(sliced: SlicedMatrix, side: str):
+                return incremental.splice_bits(
+                    sliced,
+                    joinplan.oriented_structure_bits(deletions, orientation, side),
+                    joinplan.oriented_structure_bits(insertions, orientation, side),
                 )
-                col_delta = mutate(
-                    self._col_sliced,
-                    *joinplan.oriented_structure_bits(
-                        delta_edges, orientation, "col"
-                    ),
-                )
-                new_edges = joinplan.merge_oriented_edges(
-                    *self._edge_arrays,
-                    delta_edges,
-                    orientation,
-                    self._num_vertices,
-                    insert,
-                )
-                if self._join_plan is not None:
-                    self._join_plan = joinplan.patch_join_plan(
-                        self._join_plan,
-                        self._row_sliced,
-                        self._col_sliced,
-                        *self._edge_arrays,
-                        *new_edges,
-                        row_delta,
-                        col_delta,
-                        store=self._store,
+
+            row_delta = splice(self._row_sliced, "row")
+            col_delta = splice(self._col_sliced, "col")
+            new_edges = self._edge_arrays
+            for edges, insert in ((deletions, False), (insertions, True)):
+                if edges.size:
+                    new_edges = joinplan.merge_oriented_edges(
+                        *new_edges, edges, orientation, self._num_vertices, insert
                     )
-                self._edge_arrays = new_edges
-        except Exception:
+            if self._join_plan is not None:
+                self._join_plan = joinplan.patch_join_plan(
+                    self._join_plan,
+                    self._row_sliced,
+                    self._col_sliced,
+                    *self._edge_arrays,
+                    *new_edges,
+                    row_delta,
+                    col_delta,
+                    store=self._store,
+                )
+            self._edge_arrays = new_edges
+        except Exception as error:
+            self._note_fallback("flush", error)
             self._drop_structural_caches()
 
-    def _patch_contexts(self, pending: list[tuple[np.ndarray, bool]]) -> None:
-        """Route pending batches into the resident coloring shards.
+    def _patch_contexts(self, deletions: np.ndarray, insertions: np.ndarray) -> None:
+        """Route a net delta into the resident coloring shards.
 
-        Callers hold ``self._lock``.  Each batch touches only the
-        contexts that own one of its edges (at most ``C`` per edge);
-        their row structures, per-lane column structures, lane edge
-        lists and compiled lane plans are all patched in place.  Any
-        failure drops the contexts (rebuilt from the graph by the next
-        ``_prepare``), mirroring the global-structure fallback.
+        Callers hold ``self._lock``.  The deletions and then the
+        insertions reach only the contexts that own one of their edges
+        (at most ``C`` per edge); their row structures, per-lane column
+        structures, lane edge lists and compiled lane plans are all
+        patched in place — at most two patches per context — and the
+        pool is fenced with one ``publish``.  Any failure counts a
+        ``contexts`` fallback and drops the contexts (rebuilt from the
+        graph by the next ``_prepare``), mirroring the global-structure
+        fallback.
         """
         if self._shard_contexts is None:
             self._close_context_pool()
             return
         try:
-            for delta_edges, insert in pending:
-                for context in self._shard_contexts:
-                    context.apply_delta(delta_edges, self._shard_colors, insert)
+            for edges, insert in ((deletions, False), (insertions, True)):
+                if edges.size:
+                    for context in self._shard_contexts:
+                        context.apply_delta(edges, self._shard_colors, insert)
             if self._context_pool is not None:
                 # Payload writes already landed in the shared segments;
                 # the publish re-exports structurally reallocated arrays
                 # and fences a new generation so pool workers rebuild.
                 self._context_pool.publish()
-        except Exception:
+        except Exception as error:
+            self._note_fallback("contexts", error)
             self._shard_contexts = None
             self._shard_colors = None
             self._close_context_pool()
+
+    def _note_fallback(self, path: str, error: Exception) -> None:
+        """Count and log one patch path dropping to a cold rebuild."""
+        self._patch_fallbacks[path] += 1
+        _log.warning(
+            "patch fallback on %s: %s",
+            path,
+            type(error).__name__,
+            exc_info=error,
+            extra={
+                "event": "patch_fallback",
+                "path": path,
+                "error": type(error).__name__,
+            },
+        )
+
+    def _fold_graph(self) -> None:
+        """Splice the net delta of the graph backlog into the snapshot.
+
+        Callers hold ``self._lock``.  The backlog clears only after the
+        spliced graph passed its invariants, so a failure leaves the
+        session as it was and raises
+        :class:`~repro.errors.ArchitectureError`.
+        """
+        deletions, insertions = incremental.net_delta(
+            self._graph_pending, self._num_vertices
+        )
+        graph = self._graph
+        if deletions.size or insertions.size:
+            graph = incremental.splice_graph(graph, deletions, insertions)
+        if graph.num_edges != len(self._edge_set):
+            raise ArchitectureError(
+                f"spliced graph holds {graph.num_edges} edges but the session "
+                f"tracks {len(self._edge_set)}"
+            )
+        self._graph = graph
+        self._graph_pending = []
+        self._graph_pending_edges = 0
 
     def _close_context_pool(self) -> None:
         """Reclaim the resident zero-copy pool (workers + shm segments)."""
@@ -1912,13 +2007,13 @@ class TCIMSession:
     def _invalidate(self) -> None:
         """Drop every cache derived from the current graph (see ``close``).
 
-        The incrementally maintained pieces — the triangle count and the
-        symmetric slice structure — survive; everything rebuilt from the
-        graph is dropped and lazily re-created on the next query.
-        Callers hold ``self._lock``.
+        The incrementally maintained pieces — the triangle count, the
+        symmetric slice structure, and the graph snapshot with its
+        pending deltas — survive; everything rebuilt from the graph is
+        dropped and lazily re-created on the next query.  Callers hold
+        ``self._lock``.
         """
         self._generation += 1
-        self._graph = None if self._edge_set is not None else self._graph
         self._drop_structural_caches()
         self._drop_sym_plan()
         self._plan = None

@@ -56,6 +56,7 @@ from repro.core.reuse import CacheStatistics
 from repro.core.sharding import array_budget, plan_shards
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphError
+from repro.graph.graph import Graph
 
 __all__ = [
     "DeltaOutcome",
@@ -66,6 +67,9 @@ __all__ = [
     "set_bits",
     "clear_bit",
     "clear_bits",
+    "net_delta",
+    "splice_bits",
+    "splice_graph",
     "symmetric_delta",
 ]
 
@@ -160,8 +164,12 @@ class StructureDelta:
         i.e. whose join pairs must be recomputed.
 
     One call only ever inserts (``set_bits``) or removes
-    (``clear_bits``), never both.  :attr:`changed` is ``False`` for a
-    payload-only mutation, whose positions all stay valid.
+    (``clear_bits``).  :meth:`compose` joins a removal and the insertion
+    that followed it into one delta: ``removed_at`` then stays in
+    pre-removal coordinates and ``inserted_before`` is in post-removal
+    coordinates, the order :func:`splice_bits` produces and a resident
+    plan renumbers in.  :attr:`changed` is ``False`` for a payload-only
+    mutation, whose positions all stay valid.
     """
 
     inserted_before: np.ndarray
@@ -177,6 +185,28 @@ class StructureDelta:
     def unchanged(cls) -> "StructureDelta":
         empty = np.empty(0, dtype=np.int64)
         return cls(empty, empty, empty, empty)
+
+    @classmethod
+    def compose(
+        cls, removal: "StructureDelta", insertion: "StructureDelta"
+    ) -> "StructureDelta":
+        """One delta for a removal followed by an insertion.
+
+        Only that order composes: a ``removal`` that inserted slices or
+        an ``insertion`` that removed some raises
+        :class:`~repro.errors.ArchitectureError`.
+        """
+        if removal.inserted_before.size or insertion.removed_at.size:
+            raise ArchitectureError(
+                "a StructureDelta composes a removal followed by an "
+                "insertion, never insertions before removals"
+            )
+        return cls(
+            inserted_before=insertion.inserted_before,
+            inserted_rows=insertion.inserted_rows,
+            removed_at=removal.removed_at,
+            removed_rows=removal.removed_rows,
+        )
 
 
 def set_bits(
@@ -280,6 +310,21 @@ def clear_bits(
     )
 
 
+def splice_bits(
+    sliced: SlicedMatrix,
+    removals: tuple[np.ndarray, np.ndarray],
+    insertions: tuple[np.ndarray, np.ndarray],
+) -> StructureDelta:
+    """Clear the ``(rows, cols)`` of ``removals``, then set ``insertions``.
+
+    One :func:`clear_bits` and one :func:`set_bits` pass, reported as a
+    single composed :class:`StructureDelta` — the net-delta splice a
+    read applies for every write batch queued since the last one.
+    """
+    removal = clear_bits(sliced, *removals)
+    return StructureDelta.compose(removal, set_bits(sliced, *insertions))
+
+
 def set_bit(sliced: SlicedMatrix, row: int, col: int) -> StructureDelta:
     """Single-bit convenience wrapper over :func:`set_bits`."""
     return set_bits(sliced, np.array([row]), np.array([col]))
@@ -338,6 +383,117 @@ def _locate_bits(sliced: SlicedMatrix, rows, cols):
     bytes_ = within // 8
     masks = (np.uint8(1) << (within % 8).astype(np.uint8)).astype(np.uint8)
     return rows, cols, positions, exists, bytes_, masks
+
+
+# ----------------------------------------------------------------------
+# Net deltas: many committed batches, one splice
+# ----------------------------------------------------------------------
+def net_delta(batches, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fold queued ``(delta_edges, insert)`` batches into one net change.
+
+    Returns canonical ``(deletions, insertions)`` edge arrays (``u < v``,
+    sorted).  Every batch must hold only edges that really changed at
+    its commit — the session filters no-ops — so one edge's operations
+    alternate: an even count cancels, an odd count takes the sign of the
+    edge's first operation.
+    """
+    if not batches:
+        empty = np.empty((0, 2), dtype=np.int64)
+        return empty, empty
+    scale = np.int64(max(num_vertices, 1))
+    keys = np.concatenate([edges[:, 0] * scale + edges[:, 1] for edges, _ in batches])
+    inserts = np.concatenate(
+        [np.full(edges.shape[0], insert) for edges, insert in batches]
+    )
+    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    odd = counts % 2 == 1
+    first_insert = inserts[first]
+
+    def decode(selected: np.ndarray) -> np.ndarray:
+        return np.stack([selected // scale, selected % scale], axis=1)
+
+    return decode(unique[odd & ~first_insert]), decode(unique[odd & first_insert])
+
+
+def splice_graph(
+    graph: Graph, deletions: np.ndarray, insertions: np.ndarray
+) -> Graph:
+    """``graph`` after a net delta, spliced into its canonical arrays.
+
+    ``deletions``/``insertions`` are canonical disjoint edge arrays (see
+    :func:`net_delta`).  The sorted edge list splices by ``u*n+v`` key and
+    the symmetric CSR by half-edge ``row*n+col`` key — ``searchsorted``
+    plus one ``np.delete`` and one ``np.insert`` each, with ``indptr``
+    moved by ``bincount`` — so the cost is a few O(|E|) array moves, not
+    a re-canonicalising sort.  A deleted edge that is missing, or an
+    inserted edge that is already present, raises
+    :class:`~repro.errors.ArchitectureError`.
+    """
+    n = graph.num_vertices
+    scale = np.int64(max(n, 1))
+    edges = graph.edge_array()
+    gone_at, fresh_at = _splice_positions(
+        edges[:, 0] * scale + edges[:, 1],
+        deletions[:, 0] * scale + deletions[:, 1],
+        insertions[:, 0] * scale + insertions[:, 1],
+    )
+    # Spliced flat: 1-D moves are several times cheaper than axis=0 ones.
+    flat = np.delete(
+        edges.reshape(-1), (2 * gone_at[:, None] + np.arange(2)).reshape(-1)
+    )
+    flat = np.insert(flat, np.repeat(2 * fresh_at, 2), insertions.reshape(-1))
+    # Half-edges, both directions, in CSR order (row, then column).
+    indptr, indices = graph.csr
+    degrees = np.diff(indptr)
+    gone_rows, gone_cols = _half_edges(deletions, scale)
+    fresh_rows, fresh_cols = _half_edges(insertions, scale)
+    half_keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * scale + indices
+    gone_at, fresh_at = _splice_positions(
+        half_keys, gone_rows * scale + gone_cols, fresh_rows * scale + fresh_cols
+    )
+    indices = np.insert(np.delete(indices, gone_at), fresh_at, fresh_cols)
+    degrees = (
+        degrees
+        - np.bincount(gone_rows, minlength=n)
+        + np.bincount(fresh_rows, minlength=n)
+    )
+    new_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=new_indptr[1:])
+    return Graph.from_parts(n, flat.reshape(-1, 2), new_indptr, indices)
+
+
+def _half_edges(edges: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of both directions of canonical edges, key-sorted."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(rows * scale + cols)
+    return rows[order], cols[order]
+
+
+def _splice_positions(
+    keys: np.ndarray, gone: np.ndarray, fresh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.delete``/``np.insert`` positions of a splice into sorted ``keys``.
+
+    ``gone`` keys must be present and ``fresh`` keys absent (both sorted);
+    the insertion positions are in post-deletion coordinates.
+    """
+    gone_at = np.searchsorted(keys, gone)
+    if gone.size and not bool(
+        (gone_at < keys.size).all()
+        and (keys[np.minimum(gone_at, keys.size - 1)] == gone).all()
+    ):
+        raise ArchitectureError(
+            "net deletions name edges missing from the graph snapshot"
+        )
+    fresh_at = np.searchsorted(keys, fresh)
+    if fresh.size and keys.size and bool(
+        (keys[np.minimum(fresh_at, keys.size - 1)] == fresh).any()
+    ):
+        raise ArchitectureError(
+            "net insertions name edges already in the graph snapshot"
+        )
+    return gone_at, fresh_at - np.searchsorted(gone, fresh)
 
 
 # ----------------------------------------------------------------------

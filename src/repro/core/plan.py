@@ -598,17 +598,18 @@ def merge_oriented_edges(
 
 
 def _shift_positions(positions: np.ndarray, delta: StructureDelta) -> np.ndarray:
-    """Renumber surviving slice positions across one structural mutation."""
-    if delta.inserted_before.size and delta.removed_at.size:
-        raise ArchitectureError(
-            "a single StructureDelta cannot both insert and remove slices"
-        )
+    """Renumber surviving slice positions across one structural mutation.
+
+    A composed delta (:meth:`StructureDelta.compose`) applies in its one
+    order: the removal in pre-removal coordinates, then the insertion in
+    post-removal coordinates.
+    """
+    if delta.removed_at.size:
+        positions = positions - np.searchsorted(delta.removed_at, positions)
     if delta.inserted_before.size:
-        return positions + np.searchsorted(
+        positions = positions + np.searchsorted(
             delta.inserted_before, positions, side="right"
         )
-    if delta.removed_at.size:
-        return positions - np.searchsorted(delta.removed_at, positions)
     return positions
 
 
@@ -635,19 +636,21 @@ def patch_join_plan(
     *,
     store=None,
 ) -> JoinPlan:
-    """Splice one committed update batch into a compiled plan.
+    """Splice one update — a batch or a whole net delta — into a plan.
 
     ``plan`` was compiled for ``(old_sources, old_destinations)`` against
-    the structures *before* the batch; ``row_sliced``/``col_sliced`` are
+    the structures *before* the update; ``row_sliced``/``col_sliced`` are
     the structures *after* the in-place slice maintenance, whose
     structural changes are described by ``row_delta``/``col_delta``
-    (exactly what :func:`repro.core.incremental.set_bits`/``clear_bits``
-    return).  Only the affected edges — those added or removed, plus any
-    existing edge whose source row or destination column gained/lost a
-    valid slice — are re-joined; every other pair survives with a
-    vectorised position renumbering.  Returns a **new** plan (the input
-    is never mutated), array-equal to ``build_join_plan`` on the new
-    edge list against the new structures.
+    (what :func:`repro.core.incremental.set_bits`/``clear_bits`` return,
+    or the removal-then-insertion composition
+    :func:`~repro.core.incremental.splice_bits` returns for a net delta
+    of deletions and insertions).  Only the affected edges — those added
+    or removed, plus any existing edge whose source row or destination
+    column gained/lost a valid slice — are re-joined; every other pair
+    survives with a vectorised position renumbering.  Returns a **new**
+    plan (the input is never mutated), array-equal to
+    ``build_join_plan`` on the new edge list against the new structures.
     """
     num_rows = row_sliced.num_rows
     scale = np.int64(max(num_rows, 1))

@@ -531,6 +531,82 @@ class TestPlanPrimitives:
         assert dataclasses.asdict(plain[2]) == dataclasses.asdict(planned[2])
 
 
+class TestComposedStructureDelta:
+    """A removal then an insertion, reported and patched as one delta."""
+
+    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
+    def test_removal_then_insertion_patch_equals_rebuild(self, orientation):
+        graph = generators.barabasi_albert(300, 4, seed=21)
+        n = graph.num_vertices
+        row, col = structures(graph, orientation)
+        sources, destinations = oriented_edges(graph, orientation)
+        plan = build_join_plan(row, col, sources, destinations)
+        edges = set(map(tuple, graph.edge_array().tolist()))
+        # Every edge of vertices 7 and 40 goes (emptying their slices),
+        # and vertex 7 regains edges in other column blocks, so one row
+        # both loses and gains slices within the one composed delta.
+        deletions = sorted(edge for edge in edges if 7 in edge or 40 in edge)
+        insertions = sorted(
+            {(7, v) for v in (150, 230, 290)} | {(3, 260), (64, 130)} - edges
+        )
+        deletions = np.array(deletions, dtype=np.int64)
+        insertions = np.array(insertions, dtype=np.int64)
+
+        def splice(sliced, side):
+            return incremental.splice_bits(
+                sliced,
+                oriented_structure_bits(deletions, orientation, side),
+                oriented_structure_bits(insertions, orientation, side),
+            )
+
+        row_delta = splice(row, "row")
+        col_delta = splice(col, "col")
+        for delta in (row_delta, col_delta):
+            assert delta.removed_at.size and delta.inserted_before.size
+        new_sources, new_destinations = merge_oriented_edges(
+            sources, destinations, deletions, orientation, n, False
+        )
+        new_sources, new_destinations = merge_oriented_edges(
+            new_sources, new_destinations, insertions, orientation, n, True
+        )
+        patched = patch_join_plan(
+            plan, row, col, sources, destinations,
+            new_sources, new_destinations, row_delta, col_delta,
+        )
+        final = Graph(
+            n,
+            np.array(
+                sorted(
+                    (edges - set(map(tuple, deletions.tolist())))
+                    | set(map(tuple, insertions.tolist()))
+                )
+            ),
+        )
+        fresh_row, fresh_col = structures(final, orientation)
+        assert_structures_equal(row, fresh_row)
+        assert_structures_equal(col, fresh_col)
+        assert_plans_equal(
+            patched,
+            build_join_plan(fresh_row, fresh_col, *oriented_edges(final, orientation)),
+        )
+        assert patched.matches(row, col)
+
+    def test_insertion_then_removal_does_not_compose(self):
+        graph = generators.barabasi_albert(200, 4, seed=9)
+        row, _ = structures(graph)
+        covered = set(row.row_slices(0)[0].tolist())
+        block = next(k for k in range(row.slices_per_row) if k not in covered)
+        insertion = incremental.set_bit(row, 0, block * 64)
+        removal = incremental.clear_bit(row, 0, block * 64)
+        assert insertion.inserted_before.size and removal.removed_at.size
+        with pytest.raises(ArchitectureError, match="removal followed by"):
+            incremental.StructureDelta.compose(insertion, removal)
+        composed = incremental.StructureDelta.compose(removal, insertion)
+        # A composed delta is not a removal to compose again.
+        with pytest.raises(ArchitectureError, match="removal followed by"):
+            incremental.StructureDelta.compose(composed, insertion)
+
+
 class TestConcurrentReadsDuringApply:
     def test_readers_never_observe_half_patched_plan(self):
         graph = generators.barabasi_albert(400, 5, seed=13)
