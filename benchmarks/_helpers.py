@@ -52,32 +52,26 @@ def scaled_array_bytes(key: str) -> int:
 
 
 def session_for(
-    key: str, array_bytes: int | None = None, engine: str = "vectorized"
+    key: str, array_bytes: int | None = None
 ) -> TCIMSession:
-    """A resident :class:`TCIMSession` per (dataset, array size, engine).
+    """A resident :class:`TCIMSession` per (dataset, array size).
 
     The session keeps the sliced structures and the run result cached, so
     benchmarks that share a configuration share all the expensive work.
     """
     if array_bytes is None:
         array_bytes = scaled_array_bytes(key)
-    cache_key = (key, array_bytes, engine)
+    cache_key = (key, array_bytes)
     if cache_key not in _SESSION_CACHE:
         _SESSION_CACHE[cache_key] = open_session(
-            graph_for(key), array_bytes=array_bytes, engine=engine
+            graph_for(key), array_bytes=array_bytes
         )
     return _SESSION_CACHE[cache_key]
 
 
-def accelerator_run(
-    key: str, array_bytes: int | None = None, engine: str = "vectorized"
-) -> TCIMRunResult:
-    """One full TCIM accelerator run (cached via :func:`session_for`).
-
-    Both engines produce bit-identical results; the vectorized default
-    keeps the benchmark suite fast, and passing ``engine="legacy"`` times
-    the per-edge oracle loop instead."""
-    return session_for(key, array_bytes, engine).run()
+def accelerator_run(key: str, array_bytes: int | None = None) -> TCIMRunResult:
+    """One full TCIM accelerator run (cached via :func:`session_for`)."""
+    return session_for(key, array_bytes).run()
 
 
 def nonempty_rows(graph: Graph) -> int:

@@ -74,7 +74,7 @@ def bench_kernel_vectorized_engine(benchmark, enron_graph):
     """Full accelerator run on the batched engine (the production path)."""
     from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 
-    accelerator = TCIMAccelerator(AcceleratorConfig(engine="vectorized"))
+    accelerator = TCIMAccelerator(AcceleratorConfig())
     result = benchmark.pedantic(
         lambda: accelerator.run(enron_graph), rounds=3, iterations=1
     )
@@ -82,7 +82,7 @@ def bench_kernel_vectorized_engine(benchmark, enron_graph):
 
 
 def bench_kernel_engine_speedup(benchmark, enron_graph):
-    """Vectorized vs legacy engine: identical results, large speedup.
+    """Batched executor vs the per-edge oracle: identical results, large speedup.
 
     Guards the engine against perf regressions: if the batched dataflow
     ever drops under 3x the per-edge oracle loop on email-enron, something
@@ -93,22 +93,22 @@ def bench_kernel_engine_speedup(benchmark, enron_graph):
     """
     import time as _time
 
-    from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
+    from repro.core.accelerator import TCIMAccelerator
+    from repro.core.oracle import run_legacy
 
-    def run(engine):
+    def run(runner):
         best, result = float("inf"), None
         for _ in range(3):
             start = _time.perf_counter()
-            result = TCIMAccelerator(AcceleratorConfig(engine=engine)).run(
-                enron_graph
-            )
+            result = runner(enron_graph)
             best = min(best, _time.perf_counter() - start)
         return best, result
 
-    run("vectorized")  # warm numpy before timing either engine
-    legacy_s, legacy = run("legacy")
+    vectorized_run = TCIMAccelerator().run
+    run(vectorized_run)  # warm numpy before timing either path
+    legacy_s, legacy = run(run_legacy)
     vectorized_s, vectorized = benchmark.pedantic(
-        lambda: run("vectorized"), rounds=1, iterations=1
+        lambda: run(vectorized_run), rounds=1, iterations=1
     )
     assert vectorized.triangles == legacy.triangles
     assert vectorized.events == legacy.events

@@ -95,13 +95,11 @@ def bench_table5_runtime_comparison(benchmark, emit):
 
         cpu_wall, cpu_triangles = wall_clock(triangle_count_edge_iterator, graph)
         sliced_wall, sliced_triangles = wall_clock(triangle_count_sliced, graph)
-        # Wall-clock of the full functional simulation itself on the
-        # vectorized batch engine (the production execution path).
+        # Wall-clock of the full functional simulation itself (the
+        # production execution path).
         sim_wall, sim_result = wall_clock(
             TCIMAccelerator(
-                AcceleratorConfig(
-                    array_bytes=scaled_array_bytes(key), engine="vectorized"
-                )
+                AcceleratorConfig(array_bytes=scaled_array_bytes(key))
             ).run,
             graph,
         )

@@ -1,8 +1,9 @@
 """Engine speedup smoke benchmark — fails loudly on perf regressions.
 
 Runs the acceptance-scale comparison from the engine work: a
-20k-vertex / ~160k-edge Barabasi-Albert graph through the legacy per-edge
-loop and the vectorized batch engine.  Asserts bit-identical results and
+20k-vertex / ~160k-edge Barabasi-Albert graph through the per-edge
+oracle loop (:func:`repro.core.oracle.run_legacy`) and the accelerator's
+batched executor.  Asserts bit-identical results and
 a minimum speedup, so CI catches both correctness drift and a fast path
 that silently stopped being fast.
 
@@ -21,17 +22,17 @@ import dataclasses
 import sys
 import time
 
-from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
+from repro.core.accelerator import TCIMAccelerator
+from repro.core.oracle import run_legacy
 from repro.graph import generators
 
 
-def measure(engine: str, graph, repeats: int = 3):
-    accelerator = TCIMAccelerator(AcceleratorConfig(engine=engine))
+def measure(run, graph, repeats: int = 3):
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = accelerator.run(graph)
+        result = run(graph)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -41,9 +42,10 @@ def main(argv: list[str]) -> int:
     graph = generators.barabasi_albert(20_000, 8, seed=0)
     print(f"graph: n={graph.num_vertices:,} m={graph.num_edges:,}")
     # Warm numpy / allocator before timing.
-    TCIMAccelerator(AcceleratorConfig()).run(graph)
-    vectorized_s, vectorized = measure("vectorized", graph)
-    legacy_s, legacy = measure("legacy", graph, repeats=1)
+    accelerator = TCIMAccelerator()
+    accelerator.run(graph)
+    vectorized_s, vectorized = measure(accelerator.run, graph)
+    legacy_s, legacy = measure(run_legacy, graph, repeats=1)
     speedup = legacy_s / vectorized_s
     print(f"legacy:     {legacy_s:8.3f} s")
     print(f"vectorized: {vectorized_s:8.3f} s")

@@ -4,7 +4,7 @@ Holds the acceptance-scale graph (20k-vertex / ~160k-edge Barabási–Albert)
 resident the way a :class:`repro.api.TCIMSession` does — slice structures
 and oriented edges built once — and measures the repeat-query cost of the
 plan-free engine versus the planned fast path
-(:mod:`repro.core.plan` + ``execute_batched(plan=...)``).  Asserts:
+(:mod:`repro.core.plan` + ``execute_workload(plan=...)``).  Asserts:
 
 * triangles, every :class:`EventCounts` field, and the cache statistics
   are bit-identical between the planned and plan-free paths (and across

@@ -59,7 +59,7 @@ from repro.core.accelerator import (
 )
 from repro.core.engine import oriented_edges
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import _context_capacity, array_budget, plan_shards
+from repro.core.sharding import array_budget, plan_shards, run_position_split
 from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
 from repro.errors import ArchitectureError, GraphError, ReproError, StorageError
 from repro.graph.graph import Graph
@@ -154,7 +154,6 @@ class RunReport:
         config = self.result.config
         payload = {
             "triangles": self.result.triangles,
-            "engine": config.engine,
             "num_arrays": config.num_arrays,
             "shard_by": config.shard_by,
             "events": asdict(self.result.events),
@@ -297,7 +296,7 @@ class TCIMSession:
         model=None,
     ) -> None:
         self.config = config or AcceleratorConfig()
-        # Validates the config eagerly (engine/partitioner names, capacity).
+        # Validates the config eagerly (partitioner names, capacity).
         self._accelerator = TCIMAccelerator(self.config)
         self._model = model
         # One reentrant lock serialises every public entry point (count
@@ -362,19 +361,13 @@ class TCIMSession:
         # Coloring sessions never consume the global count-orientation
         # plan — every context lane compiles its own — so skip building
         # it; config.use_plan still gates the per-lane plans.
-        self._use_plan = (
-            bool(self.config.use_plan)
-            and self.config.engine == "vectorized"
-            and not self._use_contexts
-        )
+        self._use_plan = bool(self.config.use_plan) and not self._use_contexts
         # The symmetric-orientation twin of the resident plan: workload
         # queries (support/truss/clustering/common-neighbors) all join
         # the symmetric structure against itself, so they share one
         # compiled valid-pair index.  The symmetric structure mutates
         # eagerly per committed batch (see _insert_batch/_delete_batch),
-        # so this plan is patched eagerly too — gated only by
-        # config.use_plan because workloads always run the vectorized
-        # kernel path regardless of config.engine.
+        # so this plan is patched eagerly too — gated by config.use_plan.
         self._sym_edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._sym_plan = None
         self._use_workload_plan = bool(self.config.use_plan)
@@ -1394,7 +1387,11 @@ class TCIMSession:
         if sources.size == 0:
             run = (np.zeros(0, dtype=np.int64), EventCounts(), CacheStatistics())
         elif self.config.num_arrays > 1:
-            run = self._sharded_supports(sym, sources, destinations)
+            _, per_edge, events, cache_stats = run_position_split(
+                kernels.EdgeSupportKernel(), sym, sym, sources, destinations,
+                self.config, join_plan=self._ensure_sym_plan(),
+            )
+            run = (per_edge, events, cache_stats)
         else:
             _, column_capacity = array_budget(
                 sym.row_valid_counts(), self.config.capacity_slices, "array"
@@ -1415,63 +1412,6 @@ class TCIMSession:
             run = (result.value, EventCounts(**result.events), result.cache_stats)
         self._workload_cache["supports"] = run
         return run
-
-    def _sharded_supports(
-        self, sym: SlicedMatrix, sources: np.ndarray, destinations: np.ndarray
-    ) -> tuple[np.ndarray, EventCounts, CacheStatistics]:
-        """One support pass split across ``config.num_arrays`` arrays.
-
-        Mirrors the position shards' capacity and accounting model
-        (:func:`repro.core.sharding.build_position_contexts`) — equal
-        per-array slice budgets, a private row region and cache trace
-        per shard — with each shard running
-        the per-edge kernel over its :meth:`~repro.core.plan.JoinPlan.subset`
-        of the resident symmetric plan.
-        """
-        config = self.config
-        per_array_capacity = _context_capacity(
-            config.capacity_slices, config.num_arrays
-        )
-        # Coloring owns edges for the resident count contexts; workload
-        # passes over the shared symmetric structure are position-split,
-        # so fall back to the degree-LPT balancer there.
-        shard_by = "degree" if config.shard_by == "coloring" else config.shard_by
-        shard_plan = plan_shards(
-            None,
-            "symmetric",
-            config.num_arrays,
-            shard_by,
-            sources=sources,
-        )
-        sym_plan = self._ensure_sym_plan()
-        per_edge = np.zeros(sources.size, dtype=np.int64)
-        events = EventCounts()
-        cache_stats = CacheStatistics()
-        for shard_id, positions in enumerate(shard_plan.assignments):
-            if positions.size == 0:
-                continue
-            shard_sources = sources[positions]
-            _, touched_counts = sym.row_slice_ranges(np.unique(shard_sources))
-            _, column_capacity = array_budget(
-                touched_counts, per_array_capacity, f"shard {shard_id}"
-            )
-            result = kernels.execute_workload(
-                kernels.EdgeSupportKernel(),
-                None,
-                sym,
-                sym,
-                "symmetric",
-                column_capacity,
-                config.policy,
-                config.seed,
-                edges=(shard_sources, destinations[positions]),
-                row_writes=int(touched_counts.sum()),
-                plan=sym_plan.subset(positions) if sym_plan is not None else None,
-            )
-            per_edge[positions] = result.value
-            events = events.merge(EventCounts(**result.events))
-            cache_stats = cache_stats.merge(result.cache_stats)
-        return per_edge, events, cache_stats
 
     def _pair_scores(
         self, sources: np.ndarray, destinations: np.ndarray
@@ -1742,16 +1682,27 @@ class TCIMSession:
     def _full_run(self) -> TCIMRunResult:
         if self._run is None:
             self._prepare()
-            self._run = self._accelerator.run(
-                self.graph,
-                row_sliced=self._row_sliced,
-                col_sliced=self._col_sliced,
-                edge_arrays=self._edge_arrays,
-                plan=self._plan,
-                join_plan=self._ensure_join_plan(),
-                shard_contexts=self._shard_contexts,
-                context_pool=self._context_pool,
-            )
+            try:
+                self._run = self._accelerator.run(
+                    self.graph,
+                    row_sliced=self._row_sliced,
+                    col_sliced=self._col_sliced,
+                    edge_arrays=self._edge_arrays,
+                    plan=self._plan,
+                    join_plan=self._ensure_join_plan(),
+                    shard_contexts=self._shard_contexts,
+                    context_pool=self._context_pool,
+                )
+            except ArchitectureError:
+                if self._context_pool is not None and self._context_pool.closed:
+                    # A worker died mid-sweep and the pool reclaimed the
+                    # shared segments the contexts' arrays view: drop
+                    # both, so the next read rebuilds them from the graph
+                    # and opens a fresh pool.
+                    self._context_pool = None
+                    self._shard_contexts = None
+                    self._shard_colors = None
+                raise
             self._triangles = self._run.triangles
             self._slice_stats = self._run.slice_stats
         return self._run

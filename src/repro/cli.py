@@ -20,11 +20,11 @@ the form ``dataset:<key>[@<scale>]``, e.g. ``dataset:roadnet-pa@0.02``.
 
 ``count``, ``simulate``, ``stream``, and the workload commands
 (``truss``, ``cluster``, ``common-neighbors``) share the accelerator flags
-(:func:`add_accelerator_args`): ``--engine``, ``--num-arrays``,
-``--shard-by``, ``--workers``, ``--no-plan`` (disable the resident join
-plan), plus ``--config FILE`` (a TOML or JSON file of
-:class:`AcceleratorConfig` fields), repeatable ``--set key=value``
-overrides, and ``--json`` structured output.  Precedence: ``--set`` >
+(:func:`add_accelerator_args`): ``--num-arrays``, ``--shard-by``,
+``--workers``, ``--no-plan`` (disable the resident join plan), plus
+``--config FILE`` (a TOML or JSON file of :class:`AcceleratorConfig`
+fields), repeatable ``--set key=value`` overrides, and ``--json``
+structured output.  Precedence: ``--set`` >
 explicit flags > ``--config`` file > built-in defaults.
 
 Every command runs on top of :class:`repro.api.TCIMSession`, the
@@ -59,12 +59,6 @@ def add_accelerator_args(parser: argparse.ArgumentParser) -> None:
     set on the command line" (overrides the ``--config`` file) from "left
     at the default" (the file, then the dataclass default, wins).
     """
-    parser.add_argument(
-        "--engine",
-        choices=sorted(registry.engine_names()),
-        default=None,
-        help="execution engine (legacy = per-edge oracle loop)",
-    )
     parser.add_argument(
         "--num-arrays",
         type=int,
@@ -176,7 +170,6 @@ def _accelerator_config(args: argparse.Namespace, **flag_overrides) -> Accelerat
     if getattr(args, "config", None):
         mapping.update(_load_config_file(args.config))
     for name in (
-        "engine",
         "num_arrays",
         "shard_by",
         "workers",
@@ -432,7 +425,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     result = report.result
     table = Table(["metric", "value"], title="TCIM simulation")
-    table.add_row(["engine", config.engine])
     plan_bytes = session.plan_resident_bytes()
     if result.notes.get("shard_by") == "coloring" and config.use_plan:
         # Coloring shards compile per-lane plans inside their contexts;
@@ -839,8 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
         "count",
         help="count triangles",
         description=(
-            "Count triangles.  The accelerator flags (--engine, "
-            "--num-arrays, --shard-by, --workers, --config, --set) apply "
+            "Count triangles.  The accelerator flags (--num-arrays, "
+            "--shard-by, --workers, --config, --set) apply "
             "to the default tcim method; the software baselines ignore them."
         ),
     )

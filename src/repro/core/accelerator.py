@@ -20,20 +20,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro import registry
+from repro.core import kernels
 from repro.errors import ArchitectureError
 from repro.graph.graph import Graph
-from repro.core.reuse import (
-    CacheStatistics,
-    ReplacementPolicy,
-    SliceCache,
-)
-from repro.core.slicing import (
-    SlicedMatrix,
-    SliceStatistics,
-    slice_statistics,
-    valid_pair_positions,
-)
+from repro.core.reuse import CacheStatistics, ReplacementPolicy
+from repro.core.slicing import SlicedMatrix, SliceStatistics, slice_statistics
 
 __all__ = ["AcceleratorConfig", "EventCounts", "TCIMRunResult", "TCIMAccelerator"]
 
@@ -45,10 +36,9 @@ class AcceleratorConfig:
     Defaults mirror the paper's evaluation setup: 64-bit slices and a
     16 MB computational STT-MRAM array with LRU replacement.
 
-    ``engine`` selects the execution engine: ``"vectorized"`` (default)
-    runs the batched numpy dataflow of :mod:`repro.core.engine`;
-    ``"legacy"`` runs the original per-edge Python loop, kept as the
-    differential-testing oracle.  Both produce bit-identical results.
+    Every run executes the batched gather → AND → popcount dataflow of
+    :func:`repro.core.kernels.execute_workload`; the per-edge Python
+    loop it must match bit for bit lives in :mod:`repro.core.oracle`.
 
     ``num_arrays`` splits the run across that many simulated sub-arrays
     (the paper's Fig. 4 bank organisation, see
@@ -61,16 +51,14 @@ class AcceleratorConfig:
     global slice structures; ``"coloring"`` builds self-contained
     color-triple contexts.  ``workers`` > 0 fans shards out over a
     process pool (0 = serial in-process).  ``num_arrays=1`` is
-    bit-identical to the plain vectorized engine; sharded runs require
-    it (the legacy loop stays single-array).
+    bit-identical to the single-array run.
 
     ``use_plan`` lets a resident caller (:class:`repro.api.TCIMSession`)
     compile the valid-pair join once per graph generation
     (:mod:`repro.core.plan`) and serve repeat queries from it; disable
     (CLI ``--no-plan``) to force the per-query merge-join.  Results are
     bit-identical either way — the flag trades plan memory for repeat-
-    query latency, never exactness.  It only affects the vectorized
-    engine; the legacy oracle never uses plans.
+    query latency, never exactness.
 
     ``storage_dir`` turns on the out-of-core storage tier
     (:mod:`repro.storage`): slice payloads and compiled plan arrays at
@@ -83,11 +71,12 @@ class AcceleratorConfig:
 
     ``backing`` names the resident tier explicitly: ``"ram"``,
     ``"memmap"`` (requires ``storage_dir``) or ``"shm"`` — the
-    zero-copy shared-memory execution plane, under which coloring-shard
-    sweeps with ``workers > 0`` run through an shm-backed
-    :class:`~repro.core.sharding.ContextPool` (workers attach named
-    segments once; sweeps dispatch one batched message per worker);
-    position shards keep the per-call pool.  ``None`` (the default)
+    zero-copy shared-memory execution plane, under which a session
+    with coloring shards and ``workers > 0`` keeps them resident in an
+    shm-backed :class:`~repro.core.sharding.ContextPool` (workers attach
+    named segments once; sweeps dispatch one batched message per
+    worker).  One-shot runs always use the per-call pool of
+    :func:`~repro.core.sharding.execute_contexts`.  ``None`` (the default)
     keeps the historical routing: ``storage_dir`` set implies
     ``memmap``, otherwise ``ram``.  Results are bit-identical across all
     three.
@@ -98,7 +87,6 @@ class AcceleratorConfig:
     policy: ReplacementPolicy | str = ReplacementPolicy.LRU
     orientation: str = "upper"
     seed: int = 0
-    engine: str = "vectorized"
     num_arrays: int = 1
     shard_by: str = "edges"
     workers: int = 0
@@ -345,11 +333,6 @@ class TCIMAccelerator:
             )
         from repro.core.sharding import PARTITIONERS
 
-        if self.config.engine not in registry.engine_names():
-            raise ArchitectureError(
-                f"engine must be one of {registry.engine_names()}, "
-                f"got {self.config.engine!r}"
-            )
         if self.config.num_arrays < 1:
             raise ArchitectureError(
                 f"num_arrays must be >= 1, got {self.config.num_arrays}"
@@ -362,11 +345,6 @@ class TCIMAccelerator:
         if self.config.workers < 0:
             raise ArchitectureError(
                 f"workers must be >= 0, got {self.config.workers}"
-            )
-        if self.config.num_arrays > 1 and self.config.engine != "vectorized":
-            raise ArchitectureError(
-                "sharded execution (num_arrays > 1) requires the "
-                f"vectorized engine, got engine={self.config.engine!r}"
             )
 
     def run(
@@ -393,11 +371,10 @@ class TCIMAccelerator:
 
         ``join_plan`` additionally passes a compiled
         :class:`repro.core.plan.JoinPlan` for the oriented edge list
-        against exactly these slice structures: the vectorized engine
-        then skips candidate expansion and the merge-join per query
-        (sharded runs slice per-array sub-plans out of it).  Requires
-        the vectorized engine; results are bit-identical with or
-        without it.
+        against exactly these slice structures: the run then skips
+        candidate expansion and the merge-join per query (sharded runs
+        slice per-array sub-plans out of it); results are bit-identical
+        with or without it.
 
         ``shard_contexts`` passes resident self-contained coloring
         shards (:func:`repro.core.sharding.build_shard_contexts`); with
@@ -437,11 +414,6 @@ class TCIMAccelerator:
                     f"{name} covers {sliced.num_rows} rows but the graph has "
                     f"{graph.num_vertices} vertices"
                 )
-        if join_plan is not None and config.engine != "vectorized":
-            raise ArchitectureError(
-                "join plans require the vectorized engine, "
-                f"got engine={config.engine!r}"
-            )
         shards: list = []
         notes: dict = {}
         if (
@@ -470,19 +442,20 @@ class TCIMAccelerator:
             row_region, column_capacity = array_budget(
                 row_sliced.row_valid_counts(), config.capacity_slices, "array"
             )
-            if join_plan is not None:
-                # The planned fast path is an execution strategy of the
-                # built-in vectorized kernel, not a separate engine, so
-                # it bypasses the registry indirection.
-                accumulator, events, cache_stats = self._run_vectorized(
-                    graph, row_sliced, col_sliced, column_capacity,
-                    join_plan=join_plan,
-                )
-            else:
-                kernel = registry.engine_kernel(config.engine)
-                accumulator, events, cache_stats = kernel(
-                    self, graph, row_sliced, col_sliced, column_capacity
-                )
+            outcome = kernels.execute_workload(
+                kernels.CountKernel(),
+                graph,
+                row_sliced,
+                col_sliced,
+                orientation,
+                column_capacity,
+                policy=config.policy,
+                seed=config.seed,
+                plan=join_plan,
+            )
+            accumulator = outcome.accumulator
+            events = EventCounts(**outcome.events)
+            cache_stats = outcome.cache_stats
         triangles = accumulator if orientation == "upper" else accumulator // 6
         stats = slice_statistics(
             graph,
@@ -561,7 +534,6 @@ class TCIMAccelerator:
                 seed=config.seed,
                 workers=config.workers,
                 use_plan=config.use_plan,
-                backing="shm" if config.backing == "shm" else "pickle",
             )
         else:
             # Materialise the oriented edge list once; the planner and
@@ -609,11 +581,8 @@ class TCIMAccelerator:
                 "communication_free": True,
                 "balance": context_balance(shard_contexts),
             }
-            if context_pool is not None or (
-                config.workers > 0 and config.backing == "shm"
-            ):
-                notes["pool_backing"] = "shm"
             if context_pool is not None:
+                notes["pool_backing"] = "shm"
                 notes["pool_workers"] = context_pool.workers
         return (
             outcome.accumulator,
@@ -622,90 +591,3 @@ class TCIMAccelerator:
             outcome.shards,
             notes,
         )
-
-    def _run_vectorized(
-        self,
-        graph: Graph,
-        row_sliced: SlicedMatrix,
-        col_sliced: SlicedMatrix,
-        column_capacity: int,
-        join_plan=None,
-    ) -> tuple[int, EventCounts, CacheStatistics]:
-        """Batched numpy dataflow (see :mod:`repro.core.engine`)."""
-        from repro.core.engine import execute_batched
-
-        accumulator, fields, cache_stats = execute_batched(
-            graph,
-            row_sliced,
-            col_sliced,
-            self.config.orientation,
-            column_capacity,
-            policy=self.config.policy,
-            seed=self.config.seed,
-            plan=join_plan,
-        )
-        return accumulator, EventCounts(**fields), cache_stats
-
-    def _run_legacy(
-        self,
-        graph: Graph,
-        row_sliced: SlicedMatrix,
-        col_sliced: SlicedMatrix,
-        column_capacity: int,
-    ) -> tuple[int, EventCounts, CacheStatistics]:
-        """Original per-edge Python loop — the differential-testing oracle."""
-        config = self.config
-        orientation = config.orientation
-        cache = SliceCache(column_capacity, policy=config.policy, seed=config.seed)
-        events = EventCounts()
-        accumulator = 0
-        slices_per_row = row_sliced.slices_per_row
-        indptr, indices = graph.csr
-        for row in range(graph.num_vertices):
-            neighbours = indices[indptr[row]: indptr[row + 1]]
-            if orientation == "upper":
-                successors = neighbours[neighbours > row]
-            else:
-                successors = neighbours
-            if successors.size == 0:
-                continue
-            row_ids, row_data = row_sliced.row_slices(row)
-            # The row is loaded once and overwrites the previous row
-            # (Section IV-A), so each valid row slice costs one WRITE.
-            events.row_slice_writes += int(row_ids.size)
-            events.edges_processed += int(successors.size)
-            events.dense_pair_operations += int(successors.size) * slices_per_row
-            for column in successors.tolist():
-                events.index_lookups += 1
-                col_ids, col_data = col_sliced.row_slices(column)
-                if col_ids.size == 0 or row_ids.size == 0:
-                    continue
-                row_pos, col_pos = valid_pair_positions(row_ids, col_ids)
-                if row_pos.size == 0:
-                    continue
-                for matched in col_pos.tolist():
-                    cache.access((column, int(col_ids[matched])))
-                conj = row_data[row_pos] & col_data[col_pos]
-                accumulator += int(np.bitwise_count(conj).sum())
-                events.and_operations += int(row_pos.size)
-                events.bitcount_operations += int(row_pos.size)
-        events.col_slice_writes = cache.stats.writes
-        events.col_slice_hits = cache.stats.hits
-        return accumulator, events, cache.stats
-
-
-def _vectorized_kernel(accelerator, graph, row_sliced, col_sliced, column_capacity):
-    """Registry adapter for the batched numpy engine."""
-    return accelerator._run_vectorized(graph, row_sliced, col_sliced, column_capacity)
-
-
-def _legacy_kernel(accelerator, graph, row_sliced, col_sliced, column_capacity):
-    """Registry adapter for the per-edge oracle loop."""
-    return accelerator._run_legacy(graph, row_sliced, col_sliced, column_capacity)
-
-
-# Engine dispatch goes through the registry (repro/registry.py) so new
-# backends plug in without touching this module; the built-ins register
-# here, once, at import time.
-registry.register_engine("vectorized", _vectorized_kernel, replace=True)
-registry.register_engine("legacy", _legacy_kernel, replace=True)

@@ -1,17 +1,18 @@
-"""Vectorized batch execution engine for the TCIM dataflow.
+"""Vectorized batch join and popcount primitives of the TCIM dataflow.
 
-The legacy loop in :mod:`repro.core.accelerator` walks the oriented
+The per-edge loop of :mod:`repro.core.oracle` walks the oriented
 adjacency structure one edge at a time and one slice pair at a time in
 pure Python — faithful to Algorithm 1, but minutes-to-hours away from the
 paper's Table II graphs (wiki-Talk has ~5M edges, cit-Patents ~16.5M).
-This module executes the *same* dataflow in bulk:
+This module holds the pieces that execute the *same* dataflow in bulk
+(driven by :func:`repro.core.kernels.execute_workload`):
 
 1. the oriented edge list is processed in row-batches sized by candidate
    slice-pair count, not one edge at a time;
 2. valid slice pairs are merge-joined for a whole batch with a single
    :func:`np.searchsorted` over one side's globally sorted
    ``row * slices_per_row + slice_id`` keys
-   (:meth:`SlicedMatrix.global_keys`); the engine probes whichever side
+   (:meth:`SlicedMatrix.global_keys`); the join probes whichever side
    (row structure or column structure) fans out fewer candidate slices;
 3. all matched payloads of the batch are gathered and ANDed at once
    through 64-bit word views of the slice payloads
@@ -21,53 +22,39 @@ This module executes the *same* dataflow in bulk:
    classified by :func:`repro.core.reuse.simulate_key_trace`, whose
    eviction-free prefix is vectorized.
 
-The engine is **bit-identical** to the legacy loop: the same triangle
-count, the same :class:`EventCounts` field by field, and the same cache
-statistics.  The emitted key trace preserves the legacy access order —
-rows ascending, successors ascending within a row, slice ids ascending
-within an edge; slice ids of a matched pair ascend regardless of which
-side is probed, so the join direction never changes the trace.  The
-differential test-suite in ``tests/test_engine.py`` asserts all of this
-across generators, orientations, slice widths and capacity-starved
-caches; the legacy loop stays in the tree as the oracle.
-
-:func:`execute_batched` also serves as the per-array kernel of the
-sharded multi-array subsystem (:mod:`repro.core.sharding`, modelling the
-paper's Fig. 4 bank organisation): passing ``edges`` restricts the run to
-one shard's slice of the oriented edge list, with its own private column
-cache trace and a row region sized to the rows that shard touches.
+The batched executor is **bit-identical** to the oracle loop: the same
+triangle count, the same :class:`EventCounts` field by field, and the
+same cache statistics.  The emitted key trace preserves the oracle's
+access order — rows ascending, successors ascending within a row, slice
+ids ascending within an edge; slice ids of a matched pair ascend
+regardless of which side is probed, so the join direction never changes
+the trace.  The differential test-suite in ``tests/test_engine.py``
+asserts all of this across generators, orientations, slice widths and
+capacity-starved caches.
 
 Resident join plans (:mod:`repro.core.plan`) capture steps 1–2 once per
-session generation: passing ``plan=`` skips candidate expansion and the
-merge-join entirely and goes straight to gather → AND → popcount over
-the plan's matched position arrays — the repeat-query fast path the
-serving tier leans on.  The planned path is bit-identical too (same
-accumulator, events, and cache statistics); ``tests/test_plan.py`` holds
-the differential suite.
+session generation, so a planned run goes straight to gather → AND →
+popcount over the plan's matched position arrays — the repeat-query
+fast path the serving tier leans on.  ``tests/test_plan.py`` holds the
+planned path's differential suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.reuse import CacheStatistics, simulate_key_trace
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError
 from repro.graph import bitops
 from repro.graph.graph import Graph
 
 __all__ = [
-    "ENGINES",
-    "execute_batched",
     "join_batches",
     "pair_popcount",
     "pair_popcounts",
     "oriented_edges",
     "DEFAULT_BATCH_CANDIDATES",
 ]
-
-#: Recognised values of ``AcceleratorConfig.engine``.
-ENGINES = ("vectorized", "legacy")
 
 #: Candidate slice pairs examined per batch.  Bounds peak memory of the
 #: expanded join arrays (several int64 temporaries per candidate, so a few
@@ -86,8 +73,8 @@ CONJUNCTION_CHUNK_LANES = 1 << 21
 
 
 def oriented_edges(graph: Graph, orientation: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(sources, destinations)`` of the oriented matrix, in the legacy
-    iteration order (rows ascending, successors ascending within a row).
+    """``(sources, destinations)`` of the oriented matrix, in the oracle
+    loop's iteration order (rows ascending, successors ascending within a row).
 
     ``"upper"`` yields each undirected edge once as ``u -> v`` with
     ``u < v``; ``"symmetric"`` yields both directions.
@@ -246,7 +233,7 @@ def join_batches(
 
     Yields ``(row_positions, col_positions, edge_ids)`` per batch:
     positions of each matched pair in ``row_sliced.data`` /
-    ``col_sliced.data``, in the legacy iteration order (edges in input
+    ``col_sliced.data``, in the oracle iteration order (edges in input
     order, slice ids ascending within an edge).  ``edge_ids`` (the index
     into ``sources`` of each match's edge) is only materialised when
     ``with_edge_ids`` — the plan compiler needs it, the executor does
@@ -337,75 +324,6 @@ def join_batches(
             else:
                 yield build_hit, probe_hit, edge_ids
         start = stop
-
-
-def execute_batched(
-    graph: Graph | None,
-    row_sliced: SlicedMatrix,
-    col_sliced: SlicedMatrix,
-    orientation: str,
-    column_capacity: int,
-    policy,
-    seed: int,
-    batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
-    edges: tuple[np.ndarray, np.ndarray] | None = None,
-    row_writes: int | None = None,
-    plan=None,
-) -> tuple[int, dict, CacheStatistics]:
-    """Run the batched dataflow.
-
-    Returns ``(accumulator, event_fields, cache_stats)`` where
-    ``accumulator`` is the raw popcount sum (pre orientation division) and
-    ``event_fields`` holds every :class:`EventCounts` field.  Kept free of
-    an ``EventCounts`` import so :mod:`repro.core.accelerator` can import
-    this module without a cycle.
-
-    ``edges`` restricts the run to one shard: a ``(sources, destinations)``
-    pair holding a subset of the oriented edge list *in the legacy
-    iteration order* (rows ascending, successors ascending within a row).
-    The shard pays row-slice WRITEs only for the rows it actually touches
-    and runs its own private column-cache trace — exactly the behaviour of
-    one sub-array of the paper's Fig. 4 organisation.  ``edges=None``
-    (the default) processes the whole oriented edge list.  ``row_writes``
-    optionally passes the shard's precomputed row-slice WRITE count
-    (callers like the orchestrator already hold the touched-row slice
-    counts); ignored without ``edges``.  With ``edges`` given, ``graph``
-    is never consulted and may be ``None`` (the incremental engine joins
-    delta edge lists against standalone slice structures).
-
-    ``plan`` passes a resident :class:`repro.core.plan.JoinPlan` compiled
-    against *these* slice structures (same ``structure_version``) and
-    *this* edge list: candidate expansion and the merge-join are skipped
-    entirely and the matched positions/cache trace come straight off the
-    plan.  The plan must be current — a stale one (the structures mutated
-    since compilation) raises :class:`~repro.errors.ArchitectureError`
-    rather than silently gathering the wrong slices.  Results are
-    bit-identical to the plan-free path, events and cache statistics
-    included.
-
-    Triangle counting is one instance of the gather → AND → popcount
-    family: this function is a :class:`repro.core.kernels.CountKernel`
-    delegation to :func:`repro.core.kernels.execute_workload`, which
-    runs the same dataflow for per-edge-support and per-vertex-tally
-    workloads too.
-    """
-    from repro.core import kernels  # engine → kernels is lazy (cycle)
-
-    result = kernels.execute_workload(
-        kernels.CountKernel(),
-        graph,
-        row_sliced,
-        col_sliced,
-        orientation,
-        column_capacity,
-        policy,
-        seed,
-        batch_candidates=batch_candidates,
-        edges=edges,
-        row_writes=row_writes,
-        plan=plan,
-    )
-    return result.accumulator, result.events, result.cache_stats
 
 
 def _base_events(num_edges: int, slices_per_row: int, row_writes: int) -> dict:

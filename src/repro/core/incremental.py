@@ -2,8 +2,8 @@
 
 :class:`repro.core.dynamic.DynamicTriangleCounter` maintains the count
 under edge insertions/deletions with pure-Python set intersections —
-exact, but untouched by the ~29x batched engine.  This module routes a
-*batch* of updates through :func:`repro.core.engine.execute_batched`
+exact, but untouched by the ~29x batched executor.  This module routes a
+*batch* of updates through :func:`repro.core.kernels.execute_workload`
 itself, as a delta re-join of only the affected rows' slice pairs.
 
 Mathematical core
@@ -20,7 +20,7 @@ each new triangle uses:
 * **3 delta edges** — ``tr(D^3) / 6``: for each delta edge ``{u, v}``,
   a join of two ``D`` rows (each all-new triangle is seen three times).
 
-Every term is exactly the dataflow :func:`execute_batched` implements —
+Every term is exactly the counting dataflow of the batched executor —
 ANDing valid slice pairs of a "row" structure against a "column"
 structure over an edge list and popcounting — so each term runs on the
 vectorized engine with its own event accounting, touching only the rows
@@ -30,14 +30,13 @@ count the destroyed triangles.
 
 Sharding
 --------
-Each term's edge list is partitioned with
-:func:`repro.core.sharding.plan_shards` across ``config.num_arrays``
-simulated arrays (same partitioners, same per-array capacity split as a
-full sharded run) and the per-shard :class:`EventCounts` deltas merge
-with :meth:`EventCounts.merge` — incremental updates get the same
+Each term's edge list runs through
+:func:`repro.core.sharding.run_position_split` across
+``config.num_arrays`` simulated arrays (same partitioners, same
+per-array capacity split as a full sharded run) and the per-shard
+:class:`EventCounts` deltas merge — incremental updates get the same
 critical-path pricing story as full sharded runs.  With
-``num_arrays=1`` the terms run as single calls into the engine, so the
-results are bit-identical to the single-array vectorized kernel.
+``num_arrays=1`` each term is one call into the executor.
 
 The differential oracle remains :class:`DynamicTriangleCounter`; the
 randomized op-stream suite in ``tests/test_api.py`` checks this module
@@ -51,9 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.accelerator import AcceleratorConfig, EventCounts
-from repro.core.engine import execute_batched
+from repro.core.kernels import CountKernel
 from repro.core.reuse import CacheStatistics
-from repro.core.sharding import array_budget, plan_shards
+from repro.core.sharding import run_position_split
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphError
 from repro.graph.graph import Graph
@@ -97,7 +96,7 @@ def canonical_delta_edges(edges, num_vertices: int) -> np.ndarray:
 
     Returns an ``(k, 2)`` int64 array with ``u < v`` per row, self-loops
     dropped, duplicates merged, sorted lexicographically (the iteration
-    order :func:`execute_batched` expects).  Raises
+    order the batched executor expects).  Raises
     :class:`~repro.errors.GraphError` on out-of-range endpoints.
     """
     array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
@@ -518,10 +517,11 @@ def symmetric_delta(
     and the engine consume explicit edge arrays here, so a session can
     keep applying batches without ever materialising a graph snapshot.
 
-    The three inclusion–exclusion terms each run on the vectorized
-    engine, sharded across ``config.num_arrays`` simulated arrays, and
-    the returned :class:`EventCounts` / cache statistics merge every
-    term's and every shard's accounting.
+    The three inclusion–exclusion terms each run through
+    :func:`~repro.core.sharding.run_position_split` across
+    ``config.num_arrays`` simulated arrays, and the returned
+    :class:`EventCounts` / cache statistics merge every term's and
+    every shard's accounting.
     """
     if delta_edges.size == 0:
         return DeltaOutcome(triangles=0)
@@ -547,51 +547,15 @@ def symmetric_delta(
         (base_sym, d_sym, directed_src, directed_dst, 2),
         (d_sym, d_sym, undirected_src, undirected_dst, 3),
     )
-    per_array_capacity = config.capacity_slices // max(config.num_arrays, 1)
     triangles = 0
     events = EventCounts()
     cache_stats = CacheStatistics()
     for row_sliced, col_sliced, sources, destinations, divisor in terms:
-        if config.num_arrays > 1:
-            # Coloring is an edge-ownership partitioner for resident
-            # contexts; the transient inclusion–exclusion terms here are
-            # position-split instead (degree-LPT balances them best).
-            shard_by = (
-                "degree" if config.shard_by == "coloring" else config.shard_by
-            )
-            plan = plan_shards(
-                None, "symmetric", config.num_arrays, shard_by,
-                sources=sources,
-            )
-            shard_positions = plan.assignments
-        else:
-            shard_positions = (np.arange(sources.size, dtype=np.int64),)
-        accumulator = 0
-        for positions in shard_positions:
-            if positions.size == 0:
-                continue
-            shard_sources = sources[positions]
-            shard_destinations = destinations[positions]
-            _, touched_counts = row_sliced.row_slice_ranges(
-                np.unique(shard_sources)
-            )
-            _, column_capacity = array_budget(
-                touched_counts, per_array_capacity, "incremental batch"
-            )
-            shard_accumulator, fields, shard_cache = execute_batched(
-                None,
-                row_sliced,
-                col_sliced,
-                "symmetric",
-                column_capacity,
-                policy=config.policy,
-                seed=config.seed,
-                edges=(shard_sources, shard_destinations),
-                row_writes=int(touched_counts.sum()),
-            )
-            accumulator += shard_accumulator
-            events = events.merge(EventCounts(**fields))
-            cache_stats = cache_stats.merge(shard_cache)
+        accumulator, _, term_events, term_cache = run_position_split(
+            CountKernel(), row_sliced, col_sliced, sources, destinations, config
+        )
+        events = events.merge(term_events)
+        cache_stats = cache_stats.merge(term_cache)
         if accumulator % divisor:
             raise ArchitectureError(
                 f"delta re-join parity violated: term accumulator "

@@ -15,9 +15,8 @@ positions; only the reduction differs:
   per-edge supports onto their source vertices.
 
 :func:`execute_workload` is the one executor behind all of them: the
-generalisation of the batched triangle dataflow
-(:func:`repro.core.engine.execute_batched` now delegates here) that can
-additionally materialise per-edge popcount sums.  It shares
+batched triangle dataflow, generalised so it can additionally
+materialise per-edge popcount sums.  It shares
 :func:`repro.core.engine.join_batches` and the resident
 :class:`repro.core.plan.JoinPlan` fast path, so the compiled valid-pair
 index — and its incremental patching — serves *every* workload, not
@@ -99,8 +98,7 @@ class BitwiseKernel:
 
 class CountKernel(BitwiseKernel):
     """Triangle counting: the raw popcount accumulator (pre orientation
-    division, exactly what :func:`repro.core.engine.execute_batched`
-    returns)."""
+    division)."""
 
     name = "count"
     per_edge = False
@@ -178,15 +176,23 @@ def execute_workload(
 ) -> WorkloadResult:
     """Run one bulk-bitwise workload over the shared dataflow.
 
-    The argument surface matches :func:`repro.core.engine.execute_batched`
-    (which is now a thin :class:`CountKernel` delegation to this
-    function) plus the ``kernel``.  ``plan`` passes a resident
-    :class:`repro.core.plan.JoinPlan` compiled against these structures
-    and this edge list: the merge-join is skipped and per-edge reductions
-    run over the plan's ``pair_counts`` runs — so the one compiled
-    valid-pair index serves every workload.  All paths (planned or not,
-    whole-list or one shard's ``edges``) produce identical values, events
-    and cache statistics.
+    ``edges`` restricts the run to one shard: a ``(sources,
+    destinations)`` pair holding a subset of the oriented edge list in
+    the oracle iteration order (rows ascending, successors ascending
+    within a row).  The shard pays row-slice WRITEs only for the rows it
+    touches (``row_writes`` passes that count when the caller already
+    holds it) and runs its own private column-cache trace — one
+    sub-array of the paper's Fig. 4 organisation.  With ``edges`` given,
+    ``graph`` is never consulted and may be ``None``.
+
+    ``plan`` passes a resident :class:`repro.core.plan.JoinPlan`
+    compiled against these structures and this edge list: the
+    merge-join is skipped and per-edge reductions run over the plan's
+    ``pair_counts`` runs — so the one compiled valid-pair index serves
+    every workload.  A stale plan (the structures mutated since
+    compilation) raises :class:`~repro.errors.ArchitectureError`.  All
+    paths (planned or not, whole-list or one shard's ``edges``) produce
+    identical values, events and cache statistics.
     """
     if orientation not in ("upper", "symmetric"):
         raise ArchitectureError(
@@ -218,7 +224,7 @@ def execute_workload(
     if edges is None:
         sources, destinations = engine.oriented_edges(graph, orientation)
         # Rows without successors carry no valid slices, so the per-row sum
-        # of the legacy loop equals the total valid-slice count.
+        # of the oracle loop equals the total valid-slice count.
         row_writes = row_sliced.num_valid_slices
     else:
         sources, destinations = edges

@@ -3,10 +3,10 @@
 The paper's central software insight (Section IV-B, Table IV) is that
 only *valid slice pairs* ever reach the computational array — and for a
 resident graph, which pairs those are is a pure function of the slice
-*structure*, not of the payload bits.  Yet every query through
-:func:`repro.core.engine.execute_batched` re-derives them: candidate
-expansion, the merge-join against the sorted global keys, and the
-column-key cache trace are recomputed per call, which dominates repeat
+*structure*, not of the payload bits.  Yet every plan-free query
+through :func:`repro.core.kernels.execute_workload` re-derives them:
+candidate expansion, the merge-join against the sorted global keys, and
+the column-key cache trace are recomputed per call, which dominates repeat
 queries on an unchanged graph (the serving tier's bread and butter).
 
 A :class:`JoinPlan` materialises that derivation once:

@@ -98,6 +98,7 @@ __all__ = [
     "min_colors",
     "num_color_shards",
     "plan_shards",
+    "run_position_split",
 ]
 
 #: Partitioners that split positions of one shared oriented edge list
@@ -908,21 +909,17 @@ def execute_contexts(
     workers: int = 0,
     batch_candidates: int | None = None,
     use_plan: bool = True,
-    backing: str = "pickle",
 ) -> ShardedOutcome:
     """Run a list of shard contexts and merge their results.
 
     The one per-call shard executor: coloring contexts execute against
     what they own, position contexts (:func:`build_position_contexts`)
     against the shared global structures they reference.  ``workers>0``
-    fans contexts out over worker processes: ``backing="pickle"``
-    (the default, and the only mode for position contexts) runs a
-    one-shot :class:`ProcessPoolExecutor` whose forked workers inherit
-    the contexts through its initializer; ``backing="shm"`` adopts
-    self-contained contexts into shared segments and sweeps them through
-    a transient zero-copy :class:`ContextPool`.  A worker death raises
-    :class:`~repro.errors.ArchitectureError`.  For resident repeat-query
-    serving, hold a :class:`ContextPool` open instead.
+    fans contexts out over a one-shot :class:`ProcessPoolExecutor` whose
+    forked workers inherit the contexts through its initializer; a
+    worker death raises :class:`~repro.errors.ArchitectureError`.  For
+    resident repeat-query serving, hold a :class:`ContextPool` open
+    instead.
     """
     if not contexts:
         raise ArchitectureError("execute_contexts needs at least one context")
@@ -930,16 +927,6 @@ def execute_contexts(
         raise ArchitectureError(f"workers must be >= 0, got {workers}")
     per_array_capacity = _context_capacity(capacity_slices, len(contexts))
     if workers > 0 and len(contexts) > 1:
-        if backing == "shm":
-            with ContextPool(
-                contexts,
-                capacity_slices,
-                policy,
-                seed,
-                workers=workers,
-                batch_candidates=batch_candidates,
-            ) as pool:
-                return pool.run(use_plan=use_plan)
         max_workers = min(workers, len(contexts), os.cpu_count() or 1)
         try:
             with ProcessPoolExecutor(
@@ -968,6 +955,76 @@ def execute_contexts(
             for ctx in contexts
         ]
     return _merge_shard_results(shard_results)
+
+
+def run_position_split(
+    kernel,
+    row_sliced: SlicedMatrix,
+    col_sliced: SlicedMatrix,
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    config,
+    join_plan=None,
+) -> tuple[int, np.ndarray | None, "EventCounts", CacheStatistics]:  # noqa: F821
+    """One transient symmetric-orientation pass over ``config.num_arrays`` arrays.
+
+    The position split every non-resident multi-array pass shares (the
+    incremental delta terms, sharded workload supports): the edge list
+    is cut with :func:`plan_shards` — coloring owns edges only for
+    resident count contexts, so it falls back to the degree-LPT
+    balancer here — and each shard gets an equal per-array slice budget
+    with a private row region and column-cache trace, running
+    ``kernel`` over its edges (and its :meth:`~repro.core.plan.JoinPlan.subset`
+    of ``join_plan``, when one is given).  One array runs the whole list.
+
+    Returns ``(accumulator, per_edge, events, cache_stats)``:
+    ``per_edge`` is the kernel's per-edge value scattered back to
+    ``sources`` order (``None`` unless ``kernel.per_edge``).
+    """
+    from repro.core.accelerator import EventCounts
+    from repro.core.kernels import execute_workload
+
+    per_array_capacity = _context_capacity(
+        config.capacity_slices, config.num_arrays
+    )
+    if config.num_arrays > 1:
+        shard_by = "degree" if config.shard_by == "coloring" else config.shard_by
+        assignments = plan_shards(
+            None, "symmetric", config.num_arrays, shard_by, sources=sources
+        ).assignments
+    else:
+        assignments = [np.arange(sources.size, dtype=np.int64)]
+    accumulator = 0
+    per_edge = np.zeros(sources.size, dtype=np.int64) if kernel.per_edge else None
+    events = EventCounts()
+    cache_stats = CacheStatistics()
+    for shard_id, positions in enumerate(assignments):
+        if positions.size == 0:
+            continue
+        shard_sources = sources[positions]
+        _, touched_counts = row_sliced.row_slice_ranges(np.unique(shard_sources))
+        _, column_capacity = array_budget(
+            touched_counts, per_array_capacity, f"shard {shard_id}"
+        )
+        result = execute_workload(
+            kernel,
+            None,
+            row_sliced,
+            col_sliced,
+            "symmetric",
+            column_capacity,
+            config.policy,
+            config.seed,
+            edges=(shard_sources, destinations[positions]),
+            row_writes=int(touched_counts.sum()),
+            plan=join_plan.subset(positions) if join_plan is not None else None,
+        )
+        accumulator += result.accumulator
+        if per_edge is not None:
+            per_edge[positions] = result.value
+        events = events + EventCounts(**result.events)
+        cache_stats = cache_stats.merge(result.cache_stats)
+    return accumulator, per_edge, events, cache_stats
 
 
 #: Per-process resident contexts installed by :func:`_init_context_worker`.

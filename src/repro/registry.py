@@ -1,17 +1,9 @@
-"""Backend registry: engine, baseline, and graph-source dispatch by name.
+"""Backend registry: baseline and graph-source dispatch by name.
 
-Dispatch used to live as string ``if/elif`` chains inside
-:mod:`repro.core.accelerator` (engine selection) and :mod:`repro.cli`
-(baseline selection).  This module centralises it into small mapping
-registries so new backends plug in without touching the facade
-(:class:`repro.api.TCIMSession`), the serving tier
-(:class:`repro.serve.Service`), the accelerator, or the CLI:
+Small mapping registries so new backends plug in without touching the
+facade (:class:`repro.api.TCIMSession`), the serving tier
+(:class:`repro.serve.Service`) or the CLI:
 
-* **engines** map an ``AcceleratorConfig.engine`` name to a kernel with
-  the signature ``kernel(accelerator, graph, row_sliced, col_sliced,
-  column_capacity) -> (accumulator, EventCounts, CacheStatistics)``.
-  The built-in ``"vectorized"`` and ``"legacy"`` kernels are registered
-  by :mod:`repro.core.accelerator` when it is imported.
 * **baselines** map a method name (``"forward"``, ``"matmul"``, ...) to
   a ``callable(graph) -> int`` triangle counter.  The built-ins are
   registered lazily on first lookup so importing :mod:`repro` stays
@@ -37,9 +29,6 @@ from collections.abc import Callable
 from repro.errors import ArchitectureError, ReproError
 
 __all__ = [
-    "register_engine",
-    "engine_kernel",
-    "engine_names",
     "register_baseline",
     "baseline",
     "baseline_names",
@@ -47,9 +36,6 @@ __all__ = [
     "source_resolver",
     "source_schemes",
 ]
-
-#: name -> engine kernel (see module docstring for the signature).
-_ENGINES: dict[str, Callable] = {}
 
 #: name -> ``callable(graph) -> int`` baseline triangle counter.
 _BASELINES: dict[str, Callable] = {}
@@ -60,53 +46,6 @@ _BASELINES_LOADED = False
 _SOURCES: dict[str, Callable] = {}
 
 _SOURCES_LOADED = False
-
-
-# ----------------------------------------------------------------------
-# Engines
-# ----------------------------------------------------------------------
-def register_engine(name: str, kernel: Callable, replace: bool = False) -> None:
-    """Register an execution-engine kernel under ``name``.
-
-    ``kernel(accelerator, graph, row_sliced, col_sliced, column_capacity)``
-    must return ``(accumulator, EventCounts, CacheStatistics)`` where
-    ``accumulator`` is the raw popcount sum before orientation division.
-    """
-    if not name or not isinstance(name, str):
-        raise ArchitectureError(f"engine name must be a non-empty string, got {name!r}")
-    if name in _ENGINES and not replace:
-        raise ArchitectureError(
-            f"engine {name!r} is already registered; pass replace=True to override"
-        )
-    _ENGINES[name] = kernel
-
-
-def engine_kernel(name: str) -> Callable:
-    """Look up the kernel registered under ``name``."""
-    _ensure_engines()
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ArchitectureError(
-            f"unknown engine {name!r}; registered engines: {engine_names()}"
-        ) from None
-
-
-def engine_names() -> tuple[str, ...]:
-    """Registered engine names, in registration order."""
-    _ensure_engines()
-    return tuple(_ENGINES)
-
-
-def _ensure_engines() -> None:
-    """Make sure the built-in kernels are registered.
-
-    The built-ins live in :mod:`repro.core.accelerator` (they close over
-    its private methods) and register themselves at import time; callers
-    that reach the registry first trigger that import here.
-    """
-    if "vectorized" not in _ENGINES:
-        import repro.core.accelerator  # noqa: F401  (registers built-ins)
 
 
 # ----------------------------------------------------------------------

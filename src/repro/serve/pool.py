@@ -13,7 +13,7 @@ serving benchmark's serial baseline measures it).
 
 Entries are keyed by ``(graph source, effective AcceleratorConfig)``:
 two requests naming the same spec and config share one resident session,
-while the same graph under a different engine or shard layout gets its
+while the same graph under a different slice width or shard layout gets its
 own.  Entries are reference-counted; an entry leased by an in-flight
 request is never evicted, so the pool may transiently exceed its budget
 under load and trims back as leases are returned.

@@ -133,6 +133,10 @@ class SessionServeStats:
     #: owned color triple, owned edges, resident bytes).  Empty unless
     #: the session shards by coloring.
     shards: list = field(default_factory=list)
+    #: ``TCIMSession.patch_fallbacks`` — times each incremental patch
+    #: path (flush, contexts, sym_plan) fell back to a cold rebuild.
+    #: Empty for evicted entries.
+    patch_fallbacks: dict = field(default_factory=dict)
 
     def to_mapping(self) -> dict:
         return {
@@ -146,6 +150,7 @@ class SessionServeStats:
             "latency_s": self.latency_s,
             "resident_detail": dict(self.resident_detail),
             "shards": [dict(shard) for shard in self.shards],
+            "patch_fallbacks": dict(self.patch_fallbacks),
         }
 
 
@@ -1256,6 +1261,9 @@ class Service:
                     entry.session.resident_bytes_detail() if resident else {}
                 ),
                 shards=entry.session.shard_residency() if resident else [],
+                patch_fallbacks=(
+                    entry.session.patch_fallbacks if resident else {}
+                ),
             )
 
 

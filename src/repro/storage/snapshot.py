@@ -51,7 +51,9 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "tcim-session-snapshot"
-SNAPSHOT_VERSION = 1
+#: Version 2 dropped the ``engine`` key from the stored config mapping;
+#: a version-1 manifest still carries it, so it is refused up front.
+SNAPSHOT_VERSION = 2
 
 _MANIFEST = "manifest.json"
 _HASH_CHUNK = 1 << 20

@@ -26,6 +26,7 @@ from repro.arch.perf import default_pim_model
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
 from repro.core.dynamic import DynamicTriangleCounter
 from repro.core.incremental import canonical_delta_edges, clear_bit, set_bit
+from repro.core.oracle import run_legacy
 from repro.core.slicing import SlicedMatrix
 from repro.errors import ArchitectureError, GraphError, ReproError
 from repro.graph import generators
@@ -58,8 +59,9 @@ class TestOpenSession:
         assert session.config.shard_by == "rows"
 
     def test_mapping_config(self, paper_graph):
-        session = open_session(paper_graph, {"engine": "legacy"})
-        assert session.config.engine == "legacy"
+        session = open_session(paper_graph, {"policy": "fifo", "seed": "3"})
+        assert session.config.policy == "fifo"
+        assert session.config.seed == 3
 
     def test_config_object_with_overrides(self, paper_graph):
         base = AcceleratorConfig(num_arrays=2)
@@ -76,7 +78,7 @@ class TestOpenSession:
 
     def test_invalid_config_rejected_eagerly(self, paper_graph):
         with pytest.raises(ArchitectureError):
-            open_session(paper_graph, engine="warp-drive")
+            open_session(paper_graph, shard_by="warp-drive")
 
     def test_context_manager(self, paper_graph):
         with open_session(paper_graph) as session:
@@ -90,7 +92,7 @@ class TestEquivalence:
 
     CONFIGS = [
         {},
-        {"engine": "legacy"},
+        {"use_plan": False},
         {"num_arrays": 2, "shard_by": "edges"},
         {"num_arrays": 4, "shard_by": "rows"},
         {"num_arrays": 4, "shard_by": "degree"},
@@ -107,6 +109,18 @@ class TestEquivalence:
         assert session_result.cache_stats == direct.cache_stats
         assert session_result.row_region_slices == direct.row_region_slices
         assert session_result.column_cache_slices == direct.column_cache_slices
+
+    @pytest.mark.parametrize("orientation", ["upper", "symmetric"])
+    def test_run_matches_oracle(self, orientation):
+        graph = generators.barabasi_albert(300, 5, seed=11)
+        config = AcceleratorConfig(orientation=orientation, array_bytes=4096)
+        oracle = run_legacy(graph, config)
+        session_result = open_session(graph, config).run()
+        assert session_result.triangles == oracle.triangles
+        _assert_same_events(session_result.events, oracle.events)
+        assert session_result.cache_stats == oracle.cache_stats
+        assert session_result.row_region_slices == oracle.row_region_slices
+        assert session_result.column_cache_slices == oracle.column_cache_slices
 
     def test_simulate_matches_direct_pricing_single_array(self):
         graph = generators.erdos_renyi(200, 900, seed=3)
@@ -389,7 +403,7 @@ class TestBitMaintenance:
 
 class TestConfigMapping:
     def test_roundtrip(self):
-        config = AcceleratorConfig(num_arrays=4, shard_by="degree", engine="legacy")
+        config = AcceleratorConfig(num_arrays=4, shard_by="degree", policy="fifo")
         rebuilt = AcceleratorConfig.from_mapping(config.to_mapping())
         assert rebuilt == config
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.cli import main, resolve_graph
+from repro.core.oracle import run_legacy
 from repro.errors import ReproError
 from repro.graph.io import write_edge_list
 
@@ -67,24 +71,19 @@ class TestCommands:
         assert "cache hit %" in output
 
     def test_simulate_engine_flag(self, capsys):
-        assert main(
-            ["simulate", "dataset:roadnet-pa@0.005", "--engine", "legacy"]
-        ) == 0
-        legacy_out = capsys.readouterr().out
-        assert "legacy" in legacy_out
-        assert main(
-            ["simulate", "dataset:roadnet-pa@0.005", "--engine", "vectorized"]
-        ) == 0
-        vectorized_out = capsys.readouterr().out
-        assert "vectorized" in vectorized_out
-
-        def triangles(text):
-            for line in text.splitlines():
-                if "triangles" in line:
-                    return line
-            return None
-
-        assert triangles(legacy_out) == triangles(vectorized_out)
+        # There is one executor: --engine is gone, and the simulation
+        # reproduces the per-edge oracle loop.
+        spec = "dataset:roadnet-pa@0.005"
+        with pytest.raises(SystemExit):
+            main(["simulate", spec, "--engine", "legacy"])
+        capsys.readouterr()
+        assert main(["simulate", spec, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "engine" not in payload
+        oracle = run_legacy(resolve_graph(spec))
+        assert payload["triangles"] == oracle.triangles
+        assert payload["events"] == dataclasses.asdict(oracle.events)
+        assert payload["cache"] == dataclasses.asdict(oracle.cache_stats)
 
     def test_device(self, capsys):
         assert main(["device"]) == 0
@@ -211,15 +210,17 @@ class TestCommands:
 
 
 class TestShardedFlags:
-    """--engine/--num-arrays/--shard-by/--workers are shared by count
-    and simulate."""
+    """--num-arrays/--shard-by/--workers are shared by count and
+    simulate."""
 
     def test_count_engine_flag(self, capsys, tmp_path, paper_graph):
         path = tmp_path / "g.txt"
         write_edge_list(paper_graph, path)
-        for engine in ("vectorized", "legacy"):
-            assert main(["count", str(path), "--engine", engine]) == 0
-            assert "triangles (tcim): 2" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["count", str(path), "--engine", "vectorized"])
+        assert "--engine" in capsys.readouterr().err
+        assert main(["count", str(path)]) == 0
+        assert "triangles (tcim): 2" in capsys.readouterr().out
 
     def test_count_sharded_matches_single_array(self, capsys):
         spec = "dataset:roadnet-pa@0.005"
@@ -290,19 +291,6 @@ class TestShardedFlags:
         # --set wins over --no-plan (highest precedence layer).
         assert main(["simulate", spec, "--no-plan", "--set", "use_plan=true"]) == 0
         assert "disabled" not in capsys.readouterr().out
-
-    def test_legacy_engine_rejects_sharding(self, capsys):
-        assert main(
-            [
-                "count",
-                "dataset:roadnet-pa@0.005",
-                "--engine",
-                "legacy",
-                "--num-arrays",
-                "2",
-            ]
-        ) == 1
-        assert "vectorized" in capsys.readouterr().err
 
     def test_bad_num_arrays_is_an_error(self, capsys):
         assert main(
@@ -402,12 +390,15 @@ class TestConfigFileAndSet:
         path = tmp_path / "g.txt"
         write_edge_list(paper_graph, path)
         config = tmp_path / "tcim.toml"
-        config.write_text('engine = "legacy"\nseed = 3\n', encoding="utf-8")
+        config.write_text(
+            'num_arrays = 2\nshard_by = "rows"\nseed = 3\n', encoding="utf-8"
+        )
         assert main(
             ["simulate", str(path), "--config", str(config), "--json"]
         ) == 0
         payload = json_module.loads(capsys.readouterr().out)
-        assert payload["engine"] == "legacy"
+        assert payload["num_arrays"] == 2
+        assert payload["shard_by"] == "rows"
 
     def test_flag_overrides_config_file(self, capsys, tmp_path, paper_graph):
         import json as json_module
@@ -415,15 +406,18 @@ class TestConfigFileAndSet:
         path = tmp_path / "g.txt"
         write_edge_list(paper_graph, path)
         config = tmp_path / "tcim.json"
-        config.write_text('{"engine": "legacy"}', encoding="utf-8")
+        config.write_text(
+            '{"num_arrays": 2, "shard_by": "rows"}', encoding="utf-8"
+        )
         assert main(
             [
                 "simulate", str(path),
-                "--config", str(config), "--engine", "vectorized", "--json",
+                "--config", str(config), "--shard-by", "degree", "--json",
             ]
         ) == 0
         payload = json_module.loads(capsys.readouterr().out)
-        assert payload["engine"] == "vectorized"
+        assert payload["num_arrays"] == 2
+        assert payload["shard_by"] == "degree"
 
     def test_set_overrides_everything(self, capsys, tmp_path, paper_graph):
         import json as json_module

@@ -313,7 +313,7 @@ class TestIncrementalColoring:
             config.num_arrays,
             slice_bits=config.slice_bits,
             seed=config.seed,
-            use_plan=use_plan and config.engine == "vectorized",
+            use_plan=use_plan,
         )
         self._assert_contexts_equal(session._shard_contexts, rebuilt)
         session.close()

@@ -1,7 +1,8 @@
-"""Differential tests: the vectorized engine vs the legacy oracle loop.
+"""Differential tests: the batched executor vs the per-edge oracle loop.
 
-The batched engine (:mod:`repro.core.engine`) must be *bit-identical* to
-the per-edge legacy loop — the same triangle count, every
+The batched executor (:mod:`repro.core.engine`,
+:func:`repro.core.kernels.execute_workload`) must be *bit-identical* to
+the per-edge loop of :mod:`repro.core.oracle` — the same triangle count, every
 :class:`EventCounts` field, and the same cache hit/miss/exchange
 statistics — across graph families, orientations, slice widths,
 replacement policies and capacity-starved caches.  Any divergence is a
@@ -15,21 +16,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import engine
+from repro.core import engine, kernels
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
+from repro.core.oracle import run_legacy
 from repro.core.slicing import SlicedMatrix
 from repro.graph import generators
 from repro.graph.graph import Graph
 
 
 def run_both(graph: Graph, **config_kwargs):
-    legacy = TCIMAccelerator(
-        AcceleratorConfig(engine="legacy", **config_kwargs)
-    ).run(graph)
-    vectorized = TCIMAccelerator(
-        AcceleratorConfig(engine="vectorized", **config_kwargs)
-    ).run(graph)
-    return legacy, vectorized
+    config = AcceleratorConfig(**config_kwargs)
+    return run_legacy(graph, config), TCIMAccelerator(config).run(graph)
+
+
+def execute_count(*args, **kwargs):
+    """One batched counting run as ``(accumulator, events, cache_stats)``."""
+    result = kernels.execute_workload(kernels.CountKernel(), *args, **kwargs)
+    return result.accumulator, result.events, result.cache_stats
 
 
 def assert_identical(graph: Graph, **config_kwargs):
@@ -121,10 +124,10 @@ class TestDifferentialJoinPaths:
         graph = generators.barabasi_albert(120, 4, seed=8)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        reference = engine.execute_batched(
+        reference = execute_count(
             graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0
         )
-        tiny = engine.execute_batched(
+        tiny = execute_count(
             graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0,
             batch_candidates=3,
         )
@@ -152,7 +155,7 @@ class TestEngineEdgeCases:
         graph = Graph(0)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        accumulator, fields, cache_stats = engine.execute_batched(
+        accumulator, fields, cache_stats = execute_count(
             graph, row_sliced, col_sliced, "upper", 16, "lru", 0
         )
         assert accumulator == 0
@@ -165,7 +168,7 @@ class TestEngineEdgeCases:
         graph = Graph(12)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
-        accumulator, fields, _ = engine.execute_batched(
+        accumulator, fields, _ = execute_count(
             graph, row_sliced, col_sliced, "upper", 16, "lru", 0
         )
         assert accumulator == 0
@@ -183,7 +186,7 @@ class TestEngineEdgeCases:
         graph = Graph(17, [(0, 16), (1, 16)])
         row_sliced = SlicedMatrix.from_graph(graph, "upper", slice_bits=8)
         col_sliced = SlicedMatrix.from_graph(graph, "lower", slice_bits=8)
-        accumulator, fields, cache_stats = engine.execute_batched(
+        accumulator, fields, cache_stats = execute_count(
             graph, row_sliced, col_sliced, "upper", 16, "lru", 0
         )
         assert accumulator == 0
@@ -219,14 +222,14 @@ class TestEngineEdgeCases:
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         sources, destinations = engine.oriented_edges(graph, "upper")
         half = sources.size // 2
-        full = engine.execute_batched(
+        full = execute_count(
             graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0
         )
-        first = engine.execute_batched(
+        first = execute_count(
             graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0,
             edges=(sources[:half], destinations[:half]),
         )
-        second = engine.execute_batched(
+        second = execute_count(
             graph, row_sliced, col_sliced, "upper", 1 << 16, "lru", 0,
             edges=(sources[half:], destinations[half:]),
         )
@@ -244,7 +247,7 @@ class TestEngineEdgeCases:
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         with pytest.raises(ArchitectureError, match="orientation"):
-            engine.execute_batched(
+            execute_count(
                 graph, row_sliced, col_sliced, "lower", 16, "lru", 0,
                 edges=(np.array([0]), np.array([1])),
             )
@@ -254,8 +257,15 @@ class TestEngineConfig:
     def test_unknown_engine_rejected(self):
         from repro.errors import ArchitectureError
 
+        # There is one executor; an ``engine`` key is an unknown field.
         with pytest.raises(ArchitectureError, match="engine"):
-            TCIMAccelerator(AcceleratorConfig(engine="warp-drive"))
+            AcceleratorConfig.from_mapping({"engine": "warp-drive"})
+
+    def test_oracle_is_single_array(self):
+        from repro.errors import ArchitectureError
+
+        with pytest.raises(ArchitectureError, match="num_arrays"):
+            run_legacy(GRAPH_FAMILIES["ba"](), AcceleratorConfig(num_arrays=2))
 
     def test_bad_num_arrays_rejected(self):
         from repro.errors import ArchitectureError
@@ -265,7 +275,18 @@ class TestEngineConfig:
                 TCIMAccelerator(AcceleratorConfig(num_arrays=bad))
 
     def test_default_is_vectorized(self):
-        assert AcceleratorConfig().engine == "vectorized"
+        """A single-array run is one batched counting pass, nothing else."""
+        graph = GRAPH_FAMILIES["powerlaw"]()
+        result = TCIMAccelerator().run(graph)
+        row_sliced = SlicedMatrix.from_graph(graph, "upper")
+        col_sliced = SlicedMatrix.from_graph(graph, "lower")
+        accumulator, fields, cache_stats = execute_count(
+            graph, row_sliced, col_sliced, "upper",
+            result.column_cache_slices, "lru", 0,
+        )
+        assert result.triangles == accumulator
+        assert dataclasses.asdict(result.events) == fields
+        assert result.cache_stats == cache_stats
 
     def test_oriented_edges_rejects_unknown_orientation(self):
         from repro.errors import ArchitectureError
@@ -288,7 +309,7 @@ class TestEngineConfig:
 
 class TestEngineSpeed:
     def test_vectorized_faster_on_mid_size_graph(self):
-        """Coarse guard: the batched engine beats the Python loop clearly.
+        """Coarse guard: the batched executor beats the Python loop clearly.
 
         The acceptance-scale benchmark (20k vertices, >=20x) lives in
         benchmarks/smoke_engine_speedup.py; this keeps a cheaper signal in
@@ -297,13 +318,12 @@ class TestEngineSpeed:
         import time
 
         graph = generators.barabasi_albert(4000, 8, seed=12)
-        config_v = AcceleratorConfig(engine="vectorized")
-        TCIMAccelerator(config_v).run(graph)  # warm numpy
+        TCIMAccelerator().run(graph)  # warm numpy
         start = time.perf_counter()
-        vectorized = TCIMAccelerator(config_v).run(graph)
+        vectorized = TCIMAccelerator().run(graph)
         vectorized_s = time.perf_counter() - start
         start = time.perf_counter()
-        legacy = TCIMAccelerator(AcceleratorConfig(engine="legacy")).run(graph)
+        legacy = run_legacy(graph)
         legacy_s = time.perf_counter() - start
         assert vectorized.triangles == legacy.triangles
         assert legacy_s / vectorized_s > 3.0

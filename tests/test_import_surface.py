@@ -11,7 +11,13 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 import repro
+from repro import registry
+from repro.core import engine
+from repro.core.accelerator import AcceleratorConfig
+from repro.errors import ArchitectureError
 
 
 def test_all_names_resolve():
@@ -75,7 +81,6 @@ def test_registry_lookup_does_not_require_manual_imports():
 import sys
 sys.modules.pop("repro", None)
 from repro import registry
-assert "vectorized" in registry.engine_names()
 assert "forward" in registry.baseline_names()
 print("OK")
 """
@@ -84,3 +89,13 @@ print("OK")
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert "OK" in result.stdout
+
+
+def test_no_engine_selection_surface():
+    """One executor: no engine registry, config field or module tuple."""
+    for name in ("register_engine", "engine_kernel", "engine_names", "_ENGINES"):
+        assert not hasattr(registry, name), name
+    assert not hasattr(engine, "ENGINES")
+    assert not hasattr(engine, "execute_batched")
+    with pytest.raises(ArchitectureError):
+        AcceleratorConfig.from_mapping({"engine": "vectorized"})

@@ -1,8 +1,8 @@
 """Tests for the generic bulk-bitwise kernel layer (repro.core.kernels).
 
 The executor must be one dataflow with pluggable reductions: the
-counting kernel bit-identical to the engine's historical
-``execute_batched`` surface, the per-edge and per-vertex kernels
+counting kernel bit-identical to the per-edge oracle loop
+(``tests/test_engine.py``), the per-edge and per-vertex kernels
 value-identical to the pure-Python oracles, and every path — batched,
 planned, sharded edge subsets — producing the same values, events, and
 cache statistics.
@@ -74,20 +74,6 @@ class TestPairPopcounts:
 
 
 class TestCountKernel:
-    def test_matches_execute_batched(self, random_graphs):
-        for graph in random_graphs:
-            row = SlicedMatrix.from_graph(graph, "upper")
-            col = SlicedMatrix.from_graph(graph, "lower")
-            accumulator, events, cache = engine.execute_batched(
-                graph, row, col, "upper", 1 << 16, "lru", 0
-            )
-            result = execute_workload(
-                CountKernel(), graph, row, col, "upper", 1 << 16, "lru", 0
-            )
-            assert result.value == result.accumulator == accumulator
-            assert result.events == events
-            assert result.cache_stats == cache
-
     def test_no_per_edge_materialised(self, paper_graph):
         result = _run(CountKernel(), paper_graph)
         assert isinstance(result.value, int)

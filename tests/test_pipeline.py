@@ -106,19 +106,23 @@ class TestSimulateParallel:
         result, report = simulate_parallel(
             graph, parallel_config=ParallelConfig(compute_units=8)
         )
-        assert result.config.engine == "vectorized"
         assert result.triangles == TCIMAccelerator().run(graph).triangles
         assert report.latency_s > 0
 
     def test_engine_choice_does_not_change_report(self):
+        """Pricing the per-edge oracle's events gives the same report."""
+        import numpy as np
+
         from repro.arch.pipeline import simulate_parallel
-        from repro.core.accelerator import AcceleratorConfig
+        from repro.core.engine import oriented_edges
+        from repro.core.oracle import run_legacy
 
         graph = generators.erdos_renyi(100, 350, seed=4)
-        _, vectorized = simulate_parallel(
-            graph, AcceleratorConfig(engine="vectorized")
+        _, vectorized = simulate_parallel(graph)
+        rows = int(np.unique(oriented_edges(graph, "upper")[0]).size)
+        legacy = ParallelPimModel(default_pim_model()).evaluate(
+            run_legacy(graph).events, rows
         )
-        _, legacy = simulate_parallel(graph, AcceleratorConfig(engine="legacy"))
         assert vectorized.latency_s == pytest.approx(legacy.latency_s)
         assert vectorized.system_energy_j == pytest.approx(legacy.system_energy_j)
 

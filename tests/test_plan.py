@@ -4,7 +4,7 @@ Three contracts, none negotiable:
 
 * **Exactness** — the planned fast path produces bit-identical triangle
   counts, :class:`EventCounts` and :class:`CacheStatistics` versus the
-  plan-free engine, across graph families, orientations, slice widths,
+  plan-free executor and the per-edge oracle, across graph families, orientations, slice widths,
   cache pressure and shard layouts.
 * **Coherence** — a plan (and the keys cache beneath it) can never be
   served against structures it was not compiled for: the in-place slice
@@ -26,11 +26,12 @@ import numpy as np
 import pytest
 
 from repro.api import open_session
-from repro.core import incremental
+from repro.core import incremental, kernels
 from repro.core import plan as joinplan
 from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.core.dynamic import DynamicTriangleCounter
-from repro.core.engine import execute_batched, oriented_edges
+from repro.core.engine import oriented_edges
+from repro.core.oracle import run_legacy
 from repro.core.plan import (
     JoinPlan,
     build_join_plan,
@@ -73,6 +74,12 @@ def run_with_and_without_plan(graph, **config_kwargs):
     )
     planned = accelerator.run(graph, row_sliced=row, col_sliced=col, join_plan=plan)
     return plain, planned
+
+
+def execute_count(*args, **kwargs):
+    """One batched counting run as ``(accumulator, events, cache_stats)``."""
+    result = kernels.execute_workload(kernels.CountKernel(), *args, **kwargs)
+    return result.accumulator, result.events, result.cache_stats
 
 
 def assert_identical(plain, planned):
@@ -126,13 +133,13 @@ class TestPlannedExecutionDifferential:
     def test_cache_pressure(self, policy, array_bytes):
         # The memoised trace classification must match the plan-free
         # simulation even when the trace's serial eviction suffix runs.
+        graph = generators.powerlaw_cluster(150, 5, 0.7, seed=6)
         plain, planned = run_with_and_without_plan(
-            generators.powerlaw_cluster(150, 5, 0.7, seed=6),
-            array_bytes=array_bytes,
-            policy=policy,
-            seed=9,
+            graph, array_bytes=array_bytes, policy=policy, seed=9
         )
         assert_identical(plain, planned)
+        # ... and match the per-edge oracle loop.
+        assert_identical(run_legacy(graph, plain.config), planned)
         assert plain.cache_stats.exchanges > 0 or array_bytes > 512
 
     @pytest.mark.parametrize(
@@ -161,25 +168,13 @@ class TestPlannedExecutionDifferential:
         assert without.plan_resident_bytes() == 0
         assert with_plan.resident_bytes() > without.resident_bytes()
 
-    def test_legacy_engine_never_uses_plans(self):
-        graph = generators.barabasi_albert(200, 4, seed=1)
-        session = open_session(graph, engine="legacy")
-        session.count()
-        assert session.join_plan is None
-        row, col = structures(graph)
-        plan = build_join_plan(row, col, *oriented_edges(graph, "upper"))
-        with pytest.raises(ArchitectureError, match="vectorized"):
-            TCIMAccelerator(AcceleratorConfig(engine="legacy")).run(
-                graph, join_plan=plan
-            )
-
     def test_plan_edge_count_mismatch_rejected(self):
         graph = generators.barabasi_albert(200, 4, seed=1)
         row, col = structures(graph)
         sources, destinations = oriented_edges(graph, "upper")
         plan = build_join_plan(row, col, sources[:10], destinations[:10])
         with pytest.raises(ArchitectureError, match="edges"):
-            execute_batched(
+            execute_count(
                 None, row, col, "upper", 4096, policy="lru", seed=0,
                 edges=(sources, destinations), plan=plan,
             )
@@ -187,12 +182,12 @@ class TestPlannedExecutionDifferential:
         # without materialising the list, so a foreign plan is rejected
         # there too — for both orientations.
         with pytest.raises(ArchitectureError, match="edges"):
-            execute_batched(
+            execute_count(
                 graph, row, col, "upper", 4096, policy="lru", seed=0, plan=plan
             )
         sym_row, sym_col = structures(graph, "symmetric")
         with pytest.raises(ArchitectureError, match="edges"):
-            execute_batched(
+            execute_count(
                 graph, sym_row, sym_col, "symmetric", 4096, policy="lru",
                 seed=0,
                 plan=build_join_plan(
@@ -288,7 +283,7 @@ class TestStructureVersionAudit:
         assert delta.changed
         assert not plan.matches(row, col)
         with pytest.raises(ArchitectureError, match="stale join plan"):
-            execute_batched(
+            execute_count(
                 None, row, col, "upper", 4096, policy="lru", seed=0, plan=plan
             )
 
@@ -456,10 +451,10 @@ class TestPlanPrimitives:
         positions = np.arange(sources.size)[1::3]
         sub = plan.subset(positions)
         shard_edges = (sources[positions], destinations[positions])
-        plain = execute_batched(
+        plain = execute_count(
             None, row, col, "upper", 4096, policy="lru", seed=0, edges=shard_edges
         )
-        planned = execute_batched(
+        planned = execute_count(
             None, row, col, "upper", 4096, policy="lru", seed=0,
             edges=shard_edges, plan=sub,
         )
@@ -506,7 +501,7 @@ class TestPlanPrimitives:
         empty = np.empty(0, dtype=np.int64)
         plan = build_join_plan(row, col, empty, empty)
         assert plan.num_pairs == 0 and plan.num_edges == 0
-        accumulator, events, stats = execute_batched(
+        accumulator, events, stats = execute_count(
             None, row, col, "upper", 64, policy="lru", seed=0,
             edges=(empty, empty), plan=plan,
         )
@@ -519,10 +514,10 @@ class TestPlanPrimitives:
         edges = (np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
         plan = build_join_plan(row, col, *edges)
         assert plan.num_pairs == 1  # slice 0 valid on both sides, AND = 0
-        plain = execute_batched(
+        plain = execute_count(
             None, row, col, "upper", 64, policy="lru", seed=0, edges=edges
         )
-        planned = execute_batched(
+        planned = execute_count(
             None, row, col, "upper", 64, policy="lru", seed=0,
             edges=edges, plan=plan,
         )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import registry
-from repro.core.accelerator import AcceleratorConfig, TCIMAccelerator
 from repro.errors import ArchitectureError
 from repro.graph.graph import Graph
 
@@ -13,54 +12,6 @@ from repro.graph.graph import Graph
 @pytest.fixture
 def fig2_graph() -> Graph:
     return Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-
-
-class TestEngineRegistry:
-    def test_builtins_registered(self):
-        names = registry.engine_names()
-        assert "vectorized" in names
-        assert "legacy" in names
-
-    def test_unknown_engine(self):
-        with pytest.raises(ArchitectureError, match="unknown engine"):
-            registry.engine_kernel("nonexistent")
-
-    def test_accelerator_validates_against_registry(self, fig2_graph):
-        with pytest.raises(ArchitectureError, match="engine must be one of"):
-            TCIMAccelerator(AcceleratorConfig(engine="nonexistent"))
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ArchitectureError, match="already registered"):
-            registry.register_engine("vectorized", lambda *a: None)
-
-    def test_custom_engine_plugs_in(self, fig2_graph):
-        """A new backend needs only a registry entry — no facade changes."""
-        from repro.core.accelerator import _vectorized_kernel
-
-        calls = []
-
-        def spying_kernel(accelerator, graph, row_sliced, col_sliced, capacity):
-            calls.append(graph.num_edges)
-            return _vectorized_kernel(
-                accelerator, graph, row_sliced, col_sliced, capacity
-            )
-
-        registry.register_engine("spy", spying_kernel, replace=True)
-        try:
-            result = TCIMAccelerator(AcceleratorConfig(engine="spy")).run(fig2_graph)
-            assert result.triangles == 2
-            assert calls == [5]
-            # The session facade dispatches through the same registry.
-            from repro.api import open_session
-
-            assert open_session(fig2_graph, engine="spy").count() == 2
-        finally:
-            registry._ENGINES.pop("spy", None)
-
-    def test_custom_engine_usable_from_session_apply(self, fig2_graph):
-        # Sharded execution still requires the vectorized kernel.
-        with pytest.raises(ArchitectureError, match="vectorized"):
-            TCIMAccelerator(AcceleratorConfig(engine="legacy", num_arrays=2))
 
 
 class TestBaselineRegistry:
@@ -94,7 +45,7 @@ class TestBaselineRegistry:
 
     def test_bad_names(self):
         with pytest.raises(ArchitectureError):
-            registry.register_engine("", lambda *a: None)
+            registry.register_baseline("", lambda g: 0)
         with pytest.raises(ArchitectureError):
             registry.register_baseline(None, lambda g: 0)
 

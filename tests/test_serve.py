@@ -11,8 +11,8 @@ Covers the tentpole guarantees:
   recorded op journal serially through ``DynamicTriangleCounter``;
 * **read coalescing** keyed by session generation, and write
   serialisation per session;
-* **backend plumbing** — a custom engine registered through
-  ``repro.registry`` serves unchanged;
+* **backend plumbing** — a custom graph-source scheme registered
+  through ``repro.registry`` serves unchanged;
 * the JSON **line protocol** (dispatch, errors, stream driver) and the
   aggregate **ServiceReport** priced through ``arch/perf``.
 """
@@ -187,21 +187,31 @@ class TestService:
 
         run(main())
 
-    def test_custom_engine_serves_unchanged(self, paper_graph):
-        kernel = registry.engine_kernel("vectorized")
-        registry.register_engine("serve-test-engine", kernel, replace=True)
-        try:
-            async def main():
-                async with open_service(
-                    max_sessions=2, engine="serve-test-engine"
-                ) as service:
-                    assert await service.count(paper_graph) == 2
-                    update = await service.apply(paper_graph, [("+", 0, 3)])
-                    assert update.triangles == 4
+    def test_patch_fallbacks_surface_in_report(self, monkeypatch):
+        from repro.core import plan as joinplan
 
-            run(main())
-        finally:
-            registry._ENGINES.pop("serve-test-engine", None)
+        graph = generators.barabasi_albert(200, 4, seed=12)
+        oracle = DynamicTriangleCounter(graph.num_vertices, graph)
+        ops = [("+", 0, 150), ("+", 3, 180)]
+        oracle.apply_ops(ops)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected patch failure")
+
+        async def main():
+            async with open_service(max_sessions=2) as service:
+                await service.simulate(graph)
+                monkeypatch.setattr(joinplan, "patch_join_plan", boom)
+                await service.apply(graph, ops)
+                report = await service.simulate(graph)
+                assert report.triangles == oracle.triangles
+                (stats,) = service.report().sessions
+                assert stats.patch_fallbacks == {
+                    "flush": 1, "contexts": 0, "sym_plan": 0
+                }
+                assert stats.to_mapping()["patch_fallbacks"]["flush"] == 1
+
+        run(main())
 
     def test_custom_source_scheme_serves_unchanged(self, paper_graph):
         registry.register_source(

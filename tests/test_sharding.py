@@ -3,8 +3,8 @@
 The contract of :mod:`repro.core.sharding` (the functional model of the
 paper's Fig. 4 bank organisation):
 
-* ``num_arrays=1`` is **bit-identical** to the single-array vectorized
-  engine — triangles, every :class:`EventCounts` field, cache stats;
+* ``num_arrays=1`` is **bit-identical** to the single-array run and the
+  per-edge oracle loop — triangles, every :class:`EventCounts` field, cache stats;
 * for any ``num_arrays`` and any partitioner the merged triangle count
   is exact, and the additive event counters conserve the single-array
   totals (``edges_processed``, ``and_operations``,
@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.accelerator import AcceleratorConfig, EventCounts, TCIMAccelerator
 from repro.core.engine import oriented_edges
+from repro.core.oracle import run_legacy
 from repro.core.reuse import CacheStatistics
 from repro.core.sharding import (
     PARTITIONERS,
@@ -64,7 +65,7 @@ def run(graph: Graph, **kwargs) -> "TCIMRunResult":  # noqa: F821
 
 
 class TestSingleArrayIdentity:
-    """num_arrays=1 must stay bit-identical to the plain engine."""
+    """num_arrays=1 must stay bit-identical to the single-array run."""
 
     @pytest.mark.parametrize("family", sorted(GRAPHS))
     def test_accelerator_path(self, family):
@@ -84,10 +85,10 @@ class TestSingleArrayIdentity:
 
     @pytest.mark.parametrize("shard_by", POSITION_PARTITIONERS)
     def test_orchestrator_with_one_shard(self, shard_by):
-        """The orchestrator itself, not just the accelerator shortcut."""
+        """The orchestrator itself matches the per-edge oracle loop."""
         graph = GRAPHS["ba"]()
         config = AcceleratorConfig()
-        baseline = run(graph)
+        baseline = run_legacy(graph)
         row_sliced = SlicedMatrix.from_graph(graph, "upper")
         col_sliced = SlicedMatrix.from_graph(graph, "lower")
         plan = plan_shards(graph, "upper", 1, shard_by)
@@ -338,10 +339,6 @@ class TestValidation:
     def test_bad_workers(self):
         with pytest.raises(ArchitectureError, match="workers"):
             TCIMAccelerator(AcceleratorConfig(workers=-1))
-
-    def test_legacy_engine_cannot_shard(self):
-        with pytest.raises(ArchitectureError, match="vectorized"):
-            TCIMAccelerator(AcceleratorConfig(engine="legacy", num_arrays=2))
 
     def test_plan_validation(self):
         graph = GRAPHS["ba"]()

@@ -425,6 +425,38 @@ class TestSessionShm:
             shm.close()
             plain.close()
 
+    def test_dead_worker_pool_replaced_on_next_read(self):
+        graph = _graph(seed=31)
+        plain = TCIMSession(graph)
+        session = TCIMSession(
+            Graph(graph.num_vertices, graph.edge_array().copy()),
+            AcceleratorConfig(
+                num_arrays=4, shard_by="coloring", workers=2, backing="shm"
+            ),
+        )
+        try:
+            assert session.run().triangles == plain.count()  # spawn workers
+            dead = session._context_pool
+            dead._executor.submit(os._exit, 1)
+            u, v = 0, graph.num_vertices - 1
+            with pytest.raises(ArchitectureError, match="died mid-sweep"):
+                # The dead worker may need a few dispatches to surface;
+                # each write drops the cached run so the read sweeps.
+                for _ in range(10):
+                    op = ("-" if plain.has_edge(u, v) else "+", u, v)
+                    plain.apply([op])
+                    session.apply([op])
+                    session.run()
+                    time.sleep(0.05)
+            assert dead.closed
+            # The read after the failing one sweeps a fresh, open pool.
+            assert session.run().triangles == plain.count()
+            assert session._context_pool is not dead
+            assert not session._context_pool.closed
+        finally:
+            session.close()
+            plain.close()
+
     def test_session_close_reclaims_pool_segments(self):
         graph = _graph(seed=29)
         session = open_session(

@@ -330,6 +330,18 @@ class TestSnapshotFormat:
         with pytest.raises(StorageError, match="unsupported version"):
             storage_snapshot.read_snapshot(target)
 
+    def test_version_one_snapshot_refused(self, tmp_path):
+        # Version 1 stored the config with an ``engine`` key, which the
+        # config would now reject; the version check refuses it first.
+        graph = generators.barabasi_albert(60, 3, seed=2)
+        target = open_session(graph).snapshot(tmp_path / "snap")
+        manifest = json.loads((target / "manifest.json").read_text())
+        manifest["version"] = 1
+        manifest["meta"]["config"]["engine"] = "vectorized"
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="unsupported version 1"):
+            open_session(snapshot=target)
+
     def test_truncated_segment(self, tmp_path):
         target = storage_snapshot.write_snapshot(
             tmp_path / "snap", {}, {"a": np.arange(1000, dtype=np.int64)}
